@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fock
 from .errors import ConvergenceError, PmcsError
-from .specfun import laguerre, log_factorial_value
+from .specfun import laguerre_table, log_factorial_value
 from .states import PMCState, _diagonal_sum, paper_norm_sq
 from .weyl import ModulationParams
 
@@ -116,17 +116,17 @@ def _paper_m_like(params: ModulationParams, zeta: complex, order_shift: int) -> 
     """Unnormalized diagonal sum with the (N-k-l+shift)! L_{N-k-l+shift} factor."""
     r2 = abs(complex(zeta)) ** 2
     log_r2 = math.log(r2) if r2 else -math.inf
+    lag = laguerre_table(params.N + order_shift, -r2)
 
     def extra(k: int, l: int) -> tuple[float, float]:
         power = k - l
         if r2 == 0.0 and power > 0:
             return -math.inf, 0.0
         order = params.N - k - l + order_shift
-        lag = laguerre(order, -r2)
         return (
             (power * log_r2 if power else 0.0)
             + log_factorial_value(order)
-            + math.log(lag),
+            + math.log(lag[order]),
             1.0,
         )
 
@@ -138,10 +138,13 @@ def moments_paper(params: ModulationParams, zeta: complex) -> MomentSet:
 
     m_j uses the L_{N-k-l+j} sum; mu_j additionally sums the ordering weights
     (-1)^r (i-r)^j / (r! (i-r)!) over i = 0..j, r = 0..i.  Both inherit the
-    diagonal-only structure of the closed-form norm.
+    diagonal-only structure of the closed-form norm.  The i = 0 weight is
+    0^j = 0, so the four m-like sums (shifts 1..4) and the norm are the only
+    lattice walks.
     """
     nsq_inv = paper_norm_sq(params, zeta)
-    m = tuple(_paper_m_like(params, zeta, j) / nsq_inv for j in (1, 2, 3, 4))
+    m_like = {j: _paper_m_like(params, zeta, j) for j in (1, 2, 3, 4)}
+    m = tuple(m_like[j] / nsq_inv for j in (1, 2, 3, 4))
     mu = []
     for j in (1, 2, 3, 4):
         total = 0.0
@@ -151,7 +154,7 @@ def moments_paper(params: ModulationParams, zeta: complex) -> MomentSet:
                 for r in range(i + 1)
             )
             if weight != 0.0:
-                total += weight * _paper_m_like(params, zeta, i)
+                total += weight * m_like[i]
         mu.append(total / nsq_inv)
     return MomentSet(m=m, mu=tuple(mu), source="paper_formula")
 
@@ -288,6 +291,8 @@ def quasiprob_paper(params: ModulationParams, zeta: complex, qp: QuasiProbParams
     r2 = z2
     log_r2 = math.log(r2) if r2 else -math.inf
 
+    lags = laguerre_table(params.N, lag_arg)
+
     def extra(k: int, l: int) -> tuple[float, float]:
         power = k - l
         if r2 == 0.0 and power > 0:
@@ -295,7 +300,7 @@ def quasiprob_paper(params: ModulationParams, zeta: complex, qp: QuasiProbParams
         order = params.N - k - l
         if ratio == 0.0 and order > 0:
             return -math.inf, 0.0
-        lag = laguerre(order, lag_arg)
+        lag = lags[order]
         if lag == 0.0:
             return -math.inf, 0.0
         sign = (ratio_sign**order) * (1.0 if lag > 0 else -1.0)

@@ -77,7 +77,28 @@ def laguerre_eval(n: int, x) -> PolynomialEval:
     return PolynomialEval(_as_value(cur), hint)
 
 
+def laguerre_table(n: int, x: float) -> list[float]:
+    """[L_0(x), ..., L_n(x)] at one real x with plain floats.
+
+    Same recurrence and operation order as ``laguerre_eval``, so entry k
+    equals ``laguerre_eval(k, x).value`` bit for bit; no condition hint.
+    """
+    _check_degree(n, MAX_POLY_DEGREE, "Laguerre")
+    x = float(x)
+    row = [1.0]
+    if n == 0:
+        return row
+    prev, cur = 1.0, 1.0 - x
+    row.append(cur)
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        row.append(cur)
+    return row
+
+
 def laguerre(n: int, x):
+    if np.ndim(x) == 0:
+        return laguerre_table(n, x)[n]
     return laguerre_eval(n, x).value
 
 

@@ -201,12 +201,11 @@ def _state_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
         return
 
     base["tail_mass"] = state.tail_mass()
-    comparison = states.compare_norms(params, zeta, dim)
     yield SweepRow(
         quantity="norm_sq",
-        paper_value=comparison.norm_sq_paper,
-        oracle_value=comparison.norm_sq_oracle,
-        rel_gap=comparison.rel_gap,
+        paper_value=state.norm_sq_paper,
+        oracle_value=state.norm_sq_oracle,
+        rel_gap=state.discrepancy,
         **base,
     )
 

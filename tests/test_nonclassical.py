@@ -83,6 +83,64 @@ class TestMomentsPaper:
             )
 
 
+    @pytest.mark.parametrize("n_pow", [1, 2, 20])
+    def test_five_lattice_walks(self, monkeypatch, n_pow):
+        # one walk for the norm and one per shift 1..4; mu_j reuses the m-like sums
+        walks = []
+        original = states._diagonal_sum
+
+        def spy(*args, **kwargs):
+            walks.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(states, "_diagonal_sum", spy)
+        monkeypatch.setattr(nc, "_diagonal_sum", spy)
+        nc.moments_paper(ModulationParams(1 / 3, 2 / 3, n_pow), 0.7)
+        assert len(walks) == 5
+
+
+def exact_m_like(mu2, nu2, n_pow, r2, shift):
+    """The closed-form (k, l) double sum with the L_{N-k-l+shift} factor, in
+    exact rationals; shift 0 is the squared norm."""
+    from sympy import Rational, factorial, laguerre
+
+    total = Rational(0)
+    for k in range(n_pow + 1):
+        for l in range(min(n_pow - k, k) + 1):
+            order = n_pow - k - l + shift
+            total += (
+                mu2**k * nu2 ** (n_pow - k) * Rational(1, 4) ** l * r2 ** (k - l)
+                * factorial(order) * laguerre(order, -r2)
+                / (factorial(l) * factorial(k - l) * factorial(n_pow - k - l)) ** 2
+            )
+    return factorial(n_pow) ** 2 * total
+
+
+class TestExactGolden:
+    """Norm and moments at mu = 1/3, nu = 2/3 against exact rational sums,
+    independent of double rounding; mu_j = sum_i S(j, i) m_i with Stirling
+    numbers of the second kind."""
+
+    @pytest.mark.parametrize("n_pow", [1, 2, 3])
+    @pytest.mark.parametrize("zeta", ["1", "1/2"])
+    def test_closed_forms_match_rationals(self, n_pow, zeta):
+        sympy = pytest.importorskip("sympy")
+        from sympy.functions.combinatorial.numbers import stirling
+
+        mu2, nu2 = sympy.Rational(1, 9), sympy.Rational(4, 9)
+        r = sympy.Rational(zeta)
+        nsq = exact_m_like(mu2, nu2, n_pow, r**2, 0)
+        m_like = {j: exact_m_like(mu2, nu2, n_pow, r**2, j) for j in (1, 2, 3, 4)}
+        m = [m_like[j] / nsq for j in (1, 2, 3, 4)]
+        mu = [sum(stirling(j, i) * m_like[i] for i in range(1, j + 1)) / nsq for j in (1, 2, 3, 4)]
+
+        params = ModulationParams(1 / 3, 2 / 3, n_pow)
+        assert states.paper_norm_sq(params, float(r)) == pytest.approx(float(nsq), rel=1e-13)
+        got = nc.moments_paper(params, float(r))
+        assert got.m == pytest.approx([float(v) for v in m], rel=1e-13)
+        assert got.mu == pytest.approx([float(v) for v in mu], rel=1e-13)
+
+
 class TestA3:
     def test_coherent_is_classical(self):
         result = nc.a3(nc.moments_oracle(coherent_state_wrapper(1.0)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pmcs import specfun
 
@@ -49,6 +49,28 @@ class TestLaguerre:
         out = specfun.laguerre(4, x)
         assert out.shape == x.shape
         assert out[3] == specfun.laguerre(4, 0.0)
+
+    @given(
+        st.integers(min_value=0, max_value=specfun.MAX_POLY_DEGREE),
+        st.floats(min_value=-50, max_value=50),
+    )
+    @example(64, 0.0)
+    @example(64, -0.0)
+    @example(64, 50.0)
+    @example(64, -50.0)
+    def test_table_bit_identical_to_eval(self, n, x):
+        row = specfun.laguerre_table(n, x)
+        assert len(row) == n + 1
+        for k, value in enumerate(row):
+            assert value == specfun.laguerre_eval(k, x).value
+        assert specfun.laguerre(n, x) == row[n]
+
+    def test_table_degree_cap(self):
+        assert len(specfun.laguerre_table(specfun.MAX_POLY_DEGREE, 0.5)) == 65
+        with pytest.raises(ValueError):
+            specfun.laguerre_table(65, 0.5)
+        with pytest.raises(ValueError):
+            specfun.laguerre_table(-1, 0.5)
 
     def test_condition_hint_bounds_value(self):
         ev = specfun.laguerre_eval(20, -9.0)

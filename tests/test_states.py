@@ -59,6 +59,17 @@ class TestBuildState:
         with pytest.raises(DegenerateStateError):
             states.build_state(ModulationParams(1, 0, 1), 0.0)
 
+    def test_tiny_norm_is_not_degenerate(self):
+        # (mu r)^(2N) = (1/6)^64 = 1.6e-50: tiny, yet far inside the double range
+        state = states.build_state(ModulationParams(2 / 3, 0, 32), 0.25)
+        assert state.norm_sq_oracle == pytest.approx((0.25 * 2 / 3) ** 64, rel=1e-12)
+        assert state.discrepancy <= 1e-12
+
+    def test_underflowing_norm_is_degenerate(self):
+        # (mu r)^(2N) = 1e-320: nonzero, but subnormal and imprecise
+        with pytest.raises(DegenerateStateError, match="underflow"):
+            states.build_state(ModulationParams(4e-5, 0, 32), 0.25)
+
     def test_photon_added_matches_ladder_action(self):
         zeta, n_pow = 0.9 + 0.4j, 2
         state = states.build_state(ModulationParams(0, 1, n_pow), zeta)

@@ -130,6 +130,27 @@ class TestRows:
         assert all(r.paper_value is None and r.oracle_value is None for r in bad)
         assert good and all(not r.error for r in good)
 
+    @pytest.mark.parametrize("family", ["a3", "squeeze", "fidelity", "quasiprob"])
+    def test_one_state_build_per_point(self, monkeypatch, family):
+        built = []
+        original = states.build_state
+
+        def spy(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(states, "build_state", spy)
+        cfg = replace(TINY, family=family, n_values=(0, 2))
+        if family == "quasiprob":
+            cfg = replace(cfg, quasi=sweeps.QuasiSpec(s=-0.5, gamma=sweeps.GammaGrid(0.5, 1.0, 2)))
+        rows = sweeps.run_sweep(cfg)
+        assert len(built) == len(cfg.n_values) * cfg.zeta.r_steps
+        if family != "quasiprob":
+            norm_rows = [r for r in rows if r.quantity == "norm_sq"]
+            assert [
+                (r.paper_value, r.oracle_value, r.rel_gap) for r in norm_rows
+            ] == [(st.norm_sq_paper, st.norm_sq_oracle, st.discrepancy) for st in built]
+
     def test_squeeze_family_quantities(self):
         cfg = SweepConfig(
             family="squeeze", mu=(1 / 3,), nu=(2 / 3,), n_values=(1,),
@@ -194,7 +215,7 @@ class TestPresetCoverage:
             sweeps.run_sweep(sweeps.preset_config(preset))
 
         expected = {
-            "build_state", "paper_norm_sq", "compare_norms",
+            "build_state", "paper_norm_sq",
             "moments_oracle", "moments_paper", "a3", "squeezing_identities",
             "uncertainty_product", "quasiprob_oracle", "quasiprob_paper",
             "fidelity_oracle", "fidelity_paper",
