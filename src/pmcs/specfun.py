@@ -97,8 +97,6 @@ def laguerre_table(n: int, x: float) -> list[float]:
 
 
 def laguerre(n: int, x):
-    if np.ndim(x) == 0:
-        return laguerre_table(n, x)[n]
     return laguerre_eval(n, x).value
 
 

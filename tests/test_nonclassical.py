@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,44 +100,49 @@ class TestMomentsPaper:
         assert len(walks) == 5
 
 
+def exact_laguerre(n, x):
+    """L_n(x) = sum_i C(n, i) (-x)^i / i! in exact rationals."""
+    return sum(Fraction(math.comb(n, i)) * (-x) ** i / math.factorial(i) for i in range(n + 1))
+
+
 def exact_m_like(mu2, nu2, n_pow, r2, shift):
     """The closed-form (k, l) double sum with the L_{N-k-l+shift} factor, in
     exact rationals; shift 0 is the squared norm."""
-    from sympy import Rational, factorial, laguerre
-
-    total = Rational(0)
+    total = Fraction(0)
     for k in range(n_pow + 1):
         for l in range(min(n_pow - k, k) + 1):
             order = n_pow - k - l + shift
             total += (
-                mu2**k * nu2 ** (n_pow - k) * Rational(1, 4) ** l * r2 ** (k - l)
-                * factorial(order) * laguerre(order, -r2)
-                / (factorial(l) * factorial(k - l) * factorial(n_pow - k - l)) ** 2
+                mu2**k * nu2 ** (n_pow - k) * Fraction(1, 4) ** l * r2 ** (k - l)
+                * math.factorial(order) * exact_laguerre(order, -r2)
+                / (math.factorial(l) * math.factorial(k - l) * math.factorial(n_pow - k - l)) ** 2
             )
-    return factorial(n_pow) ** 2 * total
+    return math.factorial(n_pow) ** 2 * total
+
+
+# Stirling numbers of the second kind S(j, i), j <= 4: n^j = sum_i S(j, i) n!/(n-i)!.
+STIRLING2 = {1: (1,), 2: (1, 1), 3: (1, 3, 1), 4: (1, 7, 6, 1)}
 
 
 class TestExactGolden:
     """Norm and moments at mu = 1/3, nu = 2/3 against exact rational sums,
-    independent of double rounding; mu_j = sum_i S(j, i) m_i with Stirling
-    numbers of the second kind."""
+    independent of double rounding; mu_j = sum_i S(j, i) m_i."""
 
     @pytest.mark.parametrize("n_pow", [1, 2, 3])
-    @pytest.mark.parametrize("zeta", ["1", "1/2"])
+    @pytest.mark.parametrize("zeta", [Fraction(1), Fraction(1, 2)], ids=["1", "1/2"])
     def test_closed_forms_match_rationals(self, n_pow, zeta):
-        sympy = pytest.importorskip("sympy")
-        from sympy.functions.combinatorial.numbers import stirling
-
-        mu2, nu2 = sympy.Rational(1, 9), sympy.Rational(4, 9)
-        r = sympy.Rational(zeta)
-        nsq = exact_m_like(mu2, nu2, n_pow, r**2, 0)
-        m_like = {j: exact_m_like(mu2, nu2, n_pow, r**2, j) for j in (1, 2, 3, 4)}
+        mu2, nu2 = Fraction(1, 9), Fraction(4, 9)
+        nsq = exact_m_like(mu2, nu2, n_pow, zeta**2, 0)
+        m_like = {j: exact_m_like(mu2, nu2, n_pow, zeta**2, j) for j in (1, 2, 3, 4)}
         m = [m_like[j] / nsq for j in (1, 2, 3, 4)]
-        mu = [sum(stirling(j, i) * m_like[i] for i in range(1, j + 1)) / nsq for j in (1, 2, 3, 4)]
+        mu = [
+            sum(s * m_like[i] for i, s in enumerate(STIRLING2[j], start=1)) / nsq
+            for j in (1, 2, 3, 4)
+        ]
 
         params = ModulationParams(1 / 3, 2 / 3, n_pow)
-        assert states.paper_norm_sq(params, float(r)) == pytest.approx(float(nsq), rel=1e-13)
-        got = nc.moments_paper(params, float(r))
+        assert states.paper_norm_sq(params, float(zeta)) == pytest.approx(float(nsq), rel=1e-13)
+        got = nc.moments_paper(params, float(zeta))
         assert got.m == pytest.approx([float(v) for v in m], rel=1e-13)
         assert got.mu == pytest.approx([float(v) for v in mu], rel=1e-13)
 
