@@ -128,7 +128,9 @@ def _check_dim(dim: int, minimum: int = 2) -> None:
 
 def default_dim(zeta: complex, n_power: int = 0) -> int:
     """Poisson-tail bound for the coherent occupation plus creation headroom."""
-    mean = abs(zeta) ** 2
+    mean = abs(zeta) * abs(zeta)  # inf, not OverflowError, for huge |zeta|
+    if mean >= DIM_CAP:
+        return DIM_CAP
     dim = math.ceil(mean + 10.0 * math.sqrt(mean + 1.0)) + 4 * n_power + 16
     return min(max(dim, 16), DIM_CAP)
 
@@ -172,9 +174,14 @@ def coherent_state(zeta: complex, dim: int, tol: float = TAIL_TOL) -> tuple[Fock
     else:
         n = np.arange(dim)
         log_mag = n * math.log(abs(zeta)) - 0.5 * np.array([log_factorial_value(int(k)) for k in n])
-        log_mag -= abs(zeta) ** 2 / 2.0
+        log_mag -= abs(zeta) * abs(zeta) / 2.0
         amp = np.exp(np.maximum(log_mag, -745.0)) * np.exp(1j * cmath.phase(zeta) * n)
         amp[log_mag < -745.0] = 0.0
+        if not np.any(amp):
+            raise ConvergenceError(
+                f"coherent state |zeta|={abs(zeta):.3g} underflows at every level of dim {dim}: "
+                "its occupation lies above the truncation"
+            )
     vec = FockVector(amp).normalized()
     tail = vec.tail_mass()
     report = TruncationReport(dimension=dim, tail_mass=tail, converged=tail < tol)
@@ -187,21 +194,26 @@ def coherent_state(zeta: complex, dim: int, tol: float = TAIL_TOL) -> tuple[Fock
 
 
 def apply_superposed_power(params: "ModulationParams", vec: FockVector) -> FockVector:
-    """(mu a + nu a†)^N applied by N successive mat-vec products; unnormalized.
+    """(mu a + nu a†)^N applied as N banded updates; unnormalized.
 
-    Requires N <= dim/4 of creation headroom and checks that the result keeps
-    the top decile of levels numerically empty.
+    Each update is the truncated mat-vec (mu a + nu a†) c on the two
+    off-diagonals: mu sqrt(n+1) c_{n+1} + nu sqrt(n) c_{n-1}.  Requires
+    N <= dim/4 of creation headroom and checks that the result keeps the top
+    decile of levels numerically empty.
     """
     dim = vec.dim
     if params.N > dim // 4:
         raise ValueError(f"power N={params.N} needs dim >= {4 * params.N}, got {dim}")
     if params.N == 0:
         return vec
-    a = _ladder_matrix(dim)
-    op = params.mu * a + params.nu * a.conj().T
+    root = np.sqrt(np.arange(1, dim, dtype=float))  # sqrt(n) for n = 1 .. dim-1
+    down, up = params.mu * root, params.nu * root
     amp = vec.amplitudes
     for _ in range(params.N):
-        amp = op @ amp
+        nxt = np.zeros(dim, dtype=complex)
+        nxt[:-1] = down * amp[1:]
+        nxt[1:] += up * amp[:-1]
+        amp = nxt
     out = FockVector(amp, vec.basis_offset)
     nsq = out.norm_sq()
     if nsq > 0.0 and out.tail_mass() >= TAIL_TOL:

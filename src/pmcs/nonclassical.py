@@ -4,23 +4,28 @@ coherent state.
 
 Every quantity that has a closed form is implemented twice: the ``*_paper``
 path evaluates the closed-form Laguerre sums literally (including their
-diagonal-only structure), the oracle path works on the dense truncated-space
-matrices.  The oracle is authoritative; gaps between the two are data, not
-bugs, and are surfaced by the sweep layer.
+diagonal-only structure), the oracle path works on the truncated state
+vector.  a and a† are one-off-diagonal, so the oracle's moments and
+squeezing quantities are O(d) sums over populations |c_n|^2 or neighbouring
+amplitudes, equal to the dense truncated-space products; only the
+quasi-probability still displaces the state with a dense matrix.  The
+*_paper functions take the closed-form squared norm from the caller (a sweep
+reads it from the state it built) instead of walking its lattice again.  The
+oracle is authoritative; gaps between the two are data, not bugs, and are
+surfaced by the sweep layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import fock
 from .errors import ConvergenceError, PmcsError
 from .specfun import laguerre_table, log_factorial_value
-from .states import PMCState, _diagonal_sum, paper_norm_sq
+from .states import PMCState, _diagonal_sum
 from .weyl import ModulationParams
 
 
@@ -68,48 +73,38 @@ def _real_part(value: complex, what: str, tol: float = 1e-9) -> float:
     return value.real
 
 
-@lru_cache(maxsize=64)
-def _normal_moment_matrix(dim: int, j: int) -> np.ndarray:
-    a = fock.ladder_ops(dim)[0].matrix
-    aj = np.linalg.matrix_power(a, j)
-    out = aj.conj().T @ aj
-    out.setflags(write=False)
-    return out
+def _populations(vec: fock.FockVector) -> np.ndarray:
+    return np.abs(vec.amplitudes) ** 2
 
 
-@lru_cache(maxsize=64)
-def _number_power_matrix(dim: int, j: int) -> np.ndarray:
-    out = np.linalg.matrix_power(fock.number_operator(dim).matrix, j)
-    out.setflags(write=False)
-    return out
-
-
-def _check_moment_headroom(vec: fock.FockVector) -> None:
-    # m_4 / mu_4 weight the occupation by n^4, so the tail test uses that weight.
-    n4 = np.arange(vec.dim, dtype=float) ** 4
-    weighted = n4 * np.abs(vec.amplitudes) ** 2
-    total = float(np.sum(weighted))
-    if total > 0.0:
-        k = max(1, vec.dim // 10)
-        if float(np.sum(weighted[-k:])) / total >= 1e-10:
-            raise ConvergenceError(
-                f"fourth-moment weight leaks into the top decile at dim {vec.dim}"
-            )
+def _check_moment_headroom(pop: np.ndarray, power: int, what: str) -> None:
+    """Refuse a diagnostic whose n^power-weighted population reaches the top
+    decile of levels: there the truncated sums stop approximating the
+    untruncated ones."""
+    weighted = np.arange(pop.size, dtype=float) ** power * pop
+    if fock._tail_fraction(weighted) >= 1e-10:
+        raise ConvergenceError(f"{what} weight leaks into the top decile at dim {pop.size}")
 
 
 def moments_oracle(state: PMCState) -> MomentSet:
-    """All eight expectations by dense matrix application."""
-    vec = state.vector
-    _check_moment_headroom(vec)
-    m = tuple(
-        _real_part(fock.expectation(fock.FockOperator(_normal_moment_matrix(vec.dim, j)), vec), f"m_{j}")
-        for j in (1, 2, 3, 4)
-    )
-    mu = tuple(
-        _real_part(fock.expectation(fock.FockOperator(_number_power_matrix(vec.dim, j)), vec), f"mu_{j}")
-        for j in (1, 2, 3, 4)
-    )
-    return MomentSet(m=m, mu=mu, source="oracle")
+    """All eight expectations as sums over the populations p_n = |c_n|^2:
+
+        m_j = sum_n n!/(n-j)! p_n,    mu_j = sum_n n^j p_n
+
+    (a†^j a^j and (a†a)^j are diagonal, also in the truncated space).
+    """
+    pop = _populations(state.vector)
+    _check_moment_headroom(pop, 4, "fourth-moment")
+    n = np.arange(pop.size, dtype=float)
+    falling = np.ones_like(n)
+    power = np.ones_like(n)
+    m, mu = [], []
+    for j in (1, 2, 3, 4):
+        falling = falling * (n - (j - 1))
+        power = power * n
+        m.append(float(_real_part(np.dot(falling, pop), f"m_{j}")))
+        mu.append(float(_real_part(np.dot(power, pop), f"mu_{j}")))
+    return MomentSet(m=tuple(m), mu=tuple(mu), source="oracle")
 
 
 def _paper_m_like(params: ModulationParams, zeta: complex, order_shift: int) -> float:
@@ -133,18 +128,17 @@ def _paper_m_like(params: ModulationParams, zeta: complex, order_shift: int) -> 
     return _diagonal_sum(params, extra)
 
 
-def moments_paper(params: ModulationParams, zeta: complex) -> MomentSet:
-    """Verbatim closed-form moments.
+def moments_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> MomentSet:
+    """Verbatim closed-form moments, normalized by ``norm_sq`` (the value of
+    ``states.paper_norm_sq(params, zeta)``).
 
     m_j uses the L_{N-k-l+j} sum; mu_j additionally sums the ordering weights
     (-1)^r (i-r)^j / (r! (i-r)!) over i = 0..j, r = 0..i.  Both inherit the
     diagonal-only structure of the closed-form norm.  The i = 0 weight is
-    0^j = 0, so the four m-like sums (shifts 1..4) and the norm are the only
-    lattice walks.
+    0^j = 0, so the four m-like sums (shifts 1..4) are the only lattice walks.
     """
-    nsq_inv = paper_norm_sq(params, zeta)
     m_like = {j: _paper_m_like(params, zeta, j) for j in (1, 2, 3, 4)}
-    m = tuple(m_like[j] / nsq_inv for j in (1, 2, 3, 4))
+    m = tuple(m_like[j] / norm_sq for j in (1, 2, 3, 4))
     mu = []
     for j in (1, 2, 3, 4):
         total = 0.0
@@ -155,7 +149,7 @@ def moments_paper(params: ModulationParams, zeta: complex) -> MomentSet:
             )
             if weight != 0.0:
                 total += weight * m_like[i]
-        mu.append(total / nsq_inv)
+        mu.append(total / norm_sq)
     return MomentSet(m=m, mu=tuple(mu), source="paper_formula")
 
 
@@ -179,15 +173,18 @@ def a3(moments: MomentSet) -> A3Result:
     return A3Result(det_m=det_m, det_mu=det_mu, a3=det_m / denom)
 
 
-def _ladder_expectations(state: PMCState):
-    vec = state.vector
-    a_op, ad_op = fock.ladder_ops(vec.dim)
-    ea = fock.expectation(a_op, vec)
-    ead = fock.expectation(ad_op, vec)
-    ea2 = fock.expectation(a_op @ a_op, vec)
-    ead2 = fock.expectation(ad_op @ ad_op, vec)
-    en = _real_part(fock.expectation(ad_op @ a_op, vec), "<n>")
-    return ea, ead, ea2, ead2, en
+def _ladder_expectations(vec: fock.FockVector):
+    """<a>, <a†>, <a^2>, <a†^2>, <a†a> and the truncated <a a†> as shifted
+    vdots over neighbouring amplitudes.  The truncated <a a†> drops the top
+    level (a† maps it out of the space), exactly as the d x d product does."""
+    c = vec.amplitudes
+    n = np.arange(c.size, dtype=float)
+    pop = np.abs(c) ** 2
+    ea = complex(np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]))
+    ea2 = complex(np.vdot(c[:-2], np.sqrt(n[2:] * n[1:-1]) * c[2:]))
+    en = float(np.dot(n, pop))
+    eaad = float(np.dot(n[1:], pop[:-1]))
+    return ea, ea.conjugate(), ea2, ea2.conjugate(), en, eaad
 
 
 def squeezing_identities(state: PMCState) -> tuple[float, float]:
@@ -198,24 +195,34 @@ def squeezing_identities(state: PMCState) -> tuple[float, float]:
 
     I1 < 0 flags squeezing in X = (a + a†)/sqrt(2) and I2 < 0 in
     Y = i(a† - a)/sqrt(2); algebraically I_k = 2 (Delta q)^2 - 1 for the
-    matching quadrature q.
+    matching quadrature q.  Second moments weight the occupation by n^2, so
+    the top-decile headroom test uses that weight.
     """
-    ea, ead, ea2, ead2, en = _ladder_expectations(state)
+    vec = state.vector
+    _check_moment_headroom(_populations(vec), 2, "second-moment")
+    ea, ead, ea2, ead2, en, _ = _ladder_expectations(vec)
+    en = _real_part(en, "<n>")
     i1 = ea2 + ead2 - ea**2 - ead**2 - 2.0 * ea * ead + 2.0 * en
     i2 = -ea2 - ead2 + ea**2 + ead**2 - 2.0 * ea * ead + 2.0 * en
     return _real_part(i1, "I1"), _real_part(i2, "I2")
 
 
 def quadrature_variances(state: PMCState) -> tuple[float, float]:
-    """((Delta X)^2, (Delta Y)^2) by dense matrix application."""
+    """((Delta X)^2, (Delta Y)^2) from the ladder expectations, with the
+    truncated-space products of X = (a + a†)/sqrt(2) and Y = i(a† - a)/sqrt(2):
+
+        <X^2> = (<a^2> + <a†^2> + <a a†> + <a†a>) / 2
+        <Y^2> = (<a a†> + <a†a> - <a^2> - <a†^2>) / 2
+    """
     vec = state.vector
-    a_op, ad_op = fock.ladder_ops(vec.dim)
-    x = fock.FockOperator((a_op.matrix + ad_op.matrix) / math.sqrt(2.0), label="X")
-    y = fock.FockOperator(1j * (ad_op.matrix - a_op.matrix) / math.sqrt(2.0), label="Y")
+    _check_moment_headroom(_populations(vec), 2, "second-moment")
+    ea, ead, ea2, ead2, en, eaad = _ladder_expectations(vec)
+    x = ((ea + ead) / math.sqrt(2.0), (ea2 + ead2 + eaad + en) / 2.0)
+    y = (1j * (ead - ea) / math.sqrt(2.0), (eaad + en - ea2 - ead2) / 2.0)
     out = []
-    for q in (x, y):
-        mean = _real_part(fock.expectation(q, vec), f"<{q.label}>")
-        mean_sq = _real_part(fock.expectation(q @ q, vec), f"<{q.label}^2>")
+    for label, (mean, mean_sq) in (("X", x), ("Y", y)):
+        mean = _real_part(mean, f"<{label}>")
+        mean_sq = _real_part(mean_sq, f"<{label}^2>")
         out.append(mean_sq - mean**2)
     return out[0], out[1]
 
@@ -262,8 +269,11 @@ def quasiprob_oracle(state: PMCState, qp: QuasiProbParams, dim: int | None = Non
     return _real_part(value, "F(gamma, s)")
 
 
-def quasiprob_paper(params: ModulationParams, zeta: complex, qp: QuasiProbParams) -> float:
-    """Literal evaluation of the closed form of F(gamma, s):
+def quasiprob_paper(
+    params: ModulationParams, zeta: complex, qp: QuasiProbParams, norm_sq: float
+) -> float:
+    """Literal evaluation of the closed form of F(gamma, s), with N^2 the
+    closed-form ``norm_sq`` (``states.paper_norm_sq(params, zeta)``):
 
         2 N^2 (N!)^2 / (pi^2 (1-s)) * exp[-((2+s)/s)(|g|^2+|z|^2)
             + ((s+1)/s)(g* z + g z*)]
@@ -313,7 +323,7 @@ def quasiprob_paper(params: ModulationParams, zeta: complex, qp: QuasiProbParams
         )
 
     series = _diagonal_sum(params, extra)
-    prefactor = 2.0 / (math.pi**2 * (1.0 - s) * paper_norm_sq(params, zeta))
+    prefactor = 2.0 / (math.pi**2 * (1.0 - s) * norm_sq)
     return prefactor * math.exp(exponent) * series
 
 
@@ -324,8 +334,9 @@ def fidelity_oracle(state: PMCState, zeta: complex | None = None) -> float:
     return abs(ref.inner(state.vector)) ** 2
 
 
-def fidelity_paper(params: ModulationParams, zeta: complex) -> float:
-    """Verbatim closed-form fidelity:
+def fidelity_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> float:
+    """Verbatim closed-form fidelity, with N^2 = 1/``norm_sq`` the closed-form
+    normalization (``states.paper_norm_sq(params, zeta)``):
 
         N^2 (N!)^2 sum_kl |mu|^(2k) |nu|^(2(N-k)) (1/4)^l |zeta|^(2(N-2l))
             / (l!(k-l)!(N-k-l)!)^2
@@ -341,4 +352,4 @@ def fidelity_paper(params: ModulationParams, zeta: complex) -> float:
             return -math.inf, 0.0
         return (power * log_r2 if power else 0.0), 1.0
 
-    return _diagonal_sum(params, extra) / paper_norm_sq(params, zeta)
+    return _diagonal_sum(params, extra) / norm_sq

@@ -100,6 +100,10 @@ class SweepConfig:
             raise ConfigError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}; expected one of {FORMATS}")
+        for name, values in self._real_fields():
+            for value in values:
+                if not math.isfinite(value):
+                    raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.zeta.r_min < 0:
             raise ConfigError(f"r_min must be >= 0, got {self.zeta.r_min}")
         if self.zeta.r_steps < 1:
@@ -116,6 +120,19 @@ class SweepConfig:
                 raise ConfigError("gamma grid needs r_steps >= 1")
         if self.dim_override is not None and not 4 <= self.dim_override <= DIM_CAP:
             raise ConfigError(f"dim_override must be in [4, {DIM_CAP}]")
+
+    def _real_fields(self):
+        """(field name, real values) for every float the grids are built from."""
+        yield "mu", [part for z in self.mu for part in (z.real, z.imag)]
+        yield "nu", [part for z in self.nu for part in (z.real, z.imag)]
+        yield "zeta.r_min", [self.zeta.r_min]
+        yield "zeta.r_max", [self.zeta.r_max]
+        yield "zeta.thetas", self.zeta.thetas
+        if self.quasi is not None:
+            yield "quasi.s", [self.quasi.s]
+            yield "quasi.gamma.r_min", [self.quasi.gamma.r_min]
+            yield "quasi.gamma.r_max", [self.quasi.gamma.r_max]
+            yield "quasi.gamma.thetas", self.quasi.gamma.thetas
 
 
 @dataclass
@@ -217,7 +234,8 @@ def _state_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
         err_p = err_o = ""
         if want_paper:
             try:
-                paper = nonclassical.a3(nonclassical.moments_paper(params, zeta)).a3
+                moments = nonclassical.moments_paper(params, zeta, state.norm_sq_paper)
+                paper = nonclassical.a3(moments).a3
             except (PmcsError, ValueError) as exc:
                 err_p = f"paper: {type(exc).__name__}: {exc}"
         if want_oracle:
@@ -245,7 +263,7 @@ def _state_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
         err_p = err_o = ""
         if want_paper:
             try:
-                paper = nonclassical.fidelity_paper(params, zeta)
+                paper = nonclassical.fidelity_paper(params, zeta, state.norm_sq_paper)
             except (PmcsError, ValueError) as exc:
                 err_p = f"paper: {type(exc).__name__}: {exc}"
         if want_oracle:
@@ -283,7 +301,7 @@ def _quasi_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
         err_p = err_o = ""
         if want_paper:
             try:
-                paper = nonclassical.quasiprob_paper(params, zeta, qp)
+                paper = nonclassical.quasiprob_paper(params, zeta, qp, state.norm_sq_paper)
             except (PmcsError, ValueError) as exc:
                 err_p = f"paper: {type(exc).__name__}: {exc}"
         if want_oracle:

@@ -205,7 +205,7 @@ def test_criterion_07_quasiprob_figure_regime():
 
 def test_criterion_08_fidelity_figure_regime():
     params0 = ModulationParams(1 / 3, 2 / 3, 0)
-    paper0 = nc.fidelity_paper(params0, 1.0)
+    paper0 = nc.fidelity_paper(params0, 1.0, states.paper_norm_sq(params0, 1.0))
     oracle0 = nc.fidelity_oracle(states.build_state(params0, 1.0))
     decreasing = True
     for r in (0.5, 1.0, 2.0):

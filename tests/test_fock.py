@@ -64,6 +64,12 @@ class TestCoherentState:
         with pytest.raises(ConvergenceError):
             fock.coherent_state(4.0, 16)
 
+    @pytest.mark.parametrize("zeta", [1e6, 1e200j])
+    def test_underflow_at_every_level_raises(self, zeta):
+        # every amplitude below the double range: a truncation failure, not a zero vector
+        with pytest.raises(ConvergenceError, match="underflows at every level"):
+            fock.coherent_state(zeta, 256)
+
     @given(small_complex, small_complex)
     def test_overlap_formula(self, z1, z2):
         v1, _ = fock.coherent_state(z1, 60)

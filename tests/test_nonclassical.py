@@ -48,7 +48,8 @@ class TestMomentsOracle:
 class TestMomentsPaper:
     def test_first_moment_consistency(self):
         # j = 1: both closed-form sums reduce to the same single term
-        ms = nc.moments_paper(ModulationParams(1 / 3, 2 / 3, 2), 1.2)
+        params = ModulationParams(1 / 3, 2 / 3, 2)
+        ms = nc.moments_paper(params, 1.2, states.paper_norm_sq(params, 1.2))
         assert ms.m[0] == pytest.approx(ms.mu[0], rel=1e-12)
         assert ms.source == "paper_formula"
 
@@ -56,7 +57,8 @@ class TestMomentsPaper:
         # The closed-form moment expression does not reduce to the coherent moments
         # even at N = 0: at zeta = 0 it returns j! where the oracle gives 0.
         # The gap is a property of the closed-form expression; record it.
-        ms = nc.moments_paper(ModulationParams(0, 1, 0), 0.0)
+        params = ModulationParams(0, 1, 0)
+        ms = nc.moments_paper(params, 0.0, states.paper_norm_sq(params, 0.0))
         oracle = nc.moments_oracle(coherent_state_wrapper(0.0))
         gaps = [abs(p - o) for p, o in zip(ms.m, oracle.m)]
         assert ms.m == pytest.approx(tuple(float(math.factorial(j)) for j in (1, 2, 3, 4)), rel=1e-12)
@@ -70,7 +72,7 @@ class TestMomentsPaper:
         for n_pow in (1, 2, 3):
             for r in (0.5, 1.0, 2.0):
                 params = ModulationParams(0, 1, n_pow)
-                paper = nc.moments_paper(params, r)
+                paper = nc.moments_paper(params, r, states.paper_norm_sq(params, r))
                 oracle = nc.moments_oracle(states.build_state(params, r))
                 gap = max(
                     abs(p - o) / max(abs(o), 1e-300) for p, o in zip(paper.m, oracle.m)
@@ -96,7 +98,8 @@ class TestMomentsPaper:
 
         monkeypatch.setattr(states, "_diagonal_sum", spy)
         monkeypatch.setattr(nc, "_diagonal_sum", spy)
-        nc.moments_paper(ModulationParams(1 / 3, 2 / 3, n_pow), 0.7)
+        params = ModulationParams(1 / 3, 2 / 3, n_pow)
+        nc.moments_paper(params, 0.7, states.paper_norm_sq(params, 0.7))
         assert len(walks) == 5
 
 
@@ -141,8 +144,9 @@ class TestExactGolden:
         ]
 
         params = ModulationParams(1 / 3, 2 / 3, n_pow)
-        assert states.paper_norm_sq(params, float(zeta)) == pytest.approx(float(nsq), rel=1e-13)
-        got = nc.moments_paper(params, float(zeta))
+        norm_sq = states.paper_norm_sq(params, float(zeta))
+        assert norm_sq == pytest.approx(float(nsq), rel=1e-13)
+        got = nc.moments_paper(params, float(zeta), norm_sq)
         assert got.m == pytest.approx([float(v) for v in m], rel=1e-13)
         assert got.mu == pytest.approx([float(v) for v in mu], rel=1e-13)
 
@@ -265,12 +269,14 @@ class TestQuasiProbPaper:
     @pytest.mark.parametrize("s", [0.0, 1.0, -2.0])
     def test_closed_form_poles_rejected(self, s):
         with pytest.raises(ValueError):
-            nc.quasiprob_paper(ModulationParams(0.001, 1.2, 2), 1j, QuasiProbParams(0.5, s))
+            params = ModulationParams(0.001, 1.2, 2)
+            nc.quasiprob_paper(params, 1j, QuasiProbParams(0.5, s), states.paper_norm_sq(params, 1j))
 
     def test_fig_regime_attains_negative_values(self):
         params = ModulationParams(0.001, 1.2, 2)
+        norm_sq = states.paper_norm_sq(params, 1j)
         values = [
-            nc.quasiprob_paper(params, 1j, QuasiProbParams(r * cmath.exp(1j * th), 1.2))
+            nc.quasiprob_paper(params, 1j, QuasiProbParams(r * cmath.exp(1j * th), 1.2), norm_sq)
             for r in (0.5, 1.0, 2.0, 3.0)
             for th in (0.0, math.pi / 3, math.pi / 2, math.pi)
         ]
@@ -286,7 +292,7 @@ class TestQuasiProbPaper:
         for re in (-1.0, 0.0, 1.0):
             for im in (-1.0, 0.0, 1.0):
                 qp = QuasiProbParams(complex(re, im), s)
-                paper = nc.quasiprob_paper(params, zeta, qp)
+                paper = nc.quasiprob_paper(params, zeta, qp, states.paper_norm_sq(params, zeta))
                 oracle = nc.quasiprob_oracle(coherent_state_wrapper(zeta), qp)
                 gaps.append(abs(paper - oracle) / max(abs(oracle), 1e-300))
         if max(gaps) > 1e-6:
@@ -299,7 +305,7 @@ class TestQuasiProbPaper:
 class TestFidelity:
     def test_identity_power_is_one(self):
         params = ModulationParams(0.4, 0.7, 0)
-        assert nc.fidelity_paper(params, 1.3) == 1.0
+        assert nc.fidelity_paper(params, 1.3, states.paper_norm_sq(params, 1.3)) == 1.0
         state = states.build_state(params, 1.3)
         assert nc.fidelity_oracle(state) == pytest.approx(1.0, abs=1e-10)
 
@@ -308,20 +314,25 @@ class TestFidelity:
         params = ModulationParams(0, 1, 1)
         state = states.build_state(params, 1.0)
         assert nc.fidelity_oracle(state) == pytest.approx(0.5, abs=1e-9)
-        assert nc.fidelity_paper(params, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert nc.fidelity_paper(params, 1.0, states.paper_norm_sq(params, 1.0)) == pytest.approx(
+            0.5, rel=1e-12
+        )
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n_pow", [1, 2, 3])
     def test_photon_added_paths_agree(self, r, n_pow):
         params = ModulationParams(0, 1, n_pow)
         state = states.build_state(params, r)
-        assert nc.fidelity_paper(params, r) == pytest.approx(nc.fidelity_oracle(state), rel=1e-6)
+        paper = nc.fidelity_paper(params, r, states.paper_norm_sq(params, r))
+        assert paper == pytest.approx(nc.fidelity_oracle(state), rel=1e-6)
 
     def test_photon_subtracted_is_unity(self):
         params = ModulationParams(1, 0, 2)
         state = states.build_state(params, 1.5)
         assert nc.fidelity_oracle(state) == pytest.approx(1.0, abs=1e-9)
-        assert nc.fidelity_paper(params, 1.5) == pytest.approx(1.0, rel=1e-12)
+        assert nc.fidelity_paper(params, 1.5, states.paper_norm_sq(params, 1.5)) == pytest.approx(
+            1.0, rel=1e-12
+        )
 
     @pytest.mark.parametrize(
         "params,zeta",
@@ -334,7 +345,8 @@ class TestFidelity:
     )
     def test_bounds(self, params, zeta):
         state = states.build_state(params, zeta)
-        for value in (nc.fidelity_oracle(state), nc.fidelity_paper(params, zeta)):
+        paper = nc.fidelity_paper(params, zeta, states.paper_norm_sq(params, zeta))
+        for value in (nc.fidelity_oracle(state), paper):
             assert -1e-12 <= value <= 1.0 + 1e-10
 
     def test_photon_added_fidelity_grows_with_radius(self):

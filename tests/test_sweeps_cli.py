@@ -6,7 +6,7 @@ import pytest
 
 from pmcs import cli, nonclassical, states, sweeps
 from pmcs.errors import ConfigError
-from pmcs.sweeps import SweepConfig, ZetaGrid
+from pmcs.sweeps import GammaGrid, QuasiSpec, SweepConfig, ZetaGrid
 
 TINY = SweepConfig(
     family="fidelity",
@@ -36,6 +36,46 @@ class TestConfig:
             replace(TINY, n_values=(40,)).validate()
         with pytest.raises(ConfigError):
             replace(TINY, family="quasiprob").validate()  # missing quasi block
+
+    @pytest.mark.parametrize(
+        "field,update",
+        [
+            ("mu", {"mu": (complex(math.inf, 0.0),)}),
+            ("nu", {"nu": (complex(0.5, math.nan),)}),
+            ("zeta.r_min", {"zeta": ZetaGrid(math.nan, 1.0, 2)}),
+            ("zeta.r_max", {"zeta": ZetaGrid(0.5, math.inf, 2)}),
+            ("zeta.thetas", {"zeta": ZetaGrid(0.5, 1.0, 2, (0.0, math.nan))}),
+            ("quasi.s", {"family": "quasiprob", "quasi": QuasiSpec(math.nan, GammaGrid(0.0, 1.0, 2))}),
+            (
+                "quasi.gamma.r_max",
+                {"family": "quasiprob", "quasi": QuasiSpec(-1.0, GammaGrid(0.0, math.inf, 2))},
+            ),
+            (
+                "quasi.gamma.thetas",
+                {"family": "quasiprob", "quasi": QuasiSpec(-1.0, GammaGrid(0.0, 1.0, 2, (math.inf,)))},
+            ),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, update):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            replace(TINY, **update).validate()
+
+    def test_nan_config_exits_2_naming_the_field(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"zeta": {"r_min": "nan", "r_max": 1.0, "r_steps": 2}}))
+        assert cli.main(["fidelity", "sweep", "--preset", "fig4", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "zeta.r_min must be finite" in err
+        assert "cannot convert" not in err
+
+    @pytest.mark.parametrize("r", [1e6, 1e200])
+    def test_underflowing_coherent_state_is_a_convergence_row(self, r):
+        cfg = replace(TINY, n_values=(1,), zeta=ZetaGrid(r, r, 1))
+        rows = sweeps.run_sweep(cfg)
+        assert [row.quantity for row in rows] == ["norm_sq", "fidelity"]
+        for row in rows:
+            assert row.error.startswith("ConvergenceError: ")
+            assert "underflows at every level" in row.error
 
     def test_load_config_overrides(self, tmp_path):
         doc = {"N": [2], "engine": "oracle", "zeta": {"r_min": 1.0, "r_max": 1.0, "r_steps": 1}}
