@@ -172,6 +172,6 @@ class TestWorkCounts:
                     monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
         rows = sweeps.run_sweep(cfg)
 
-        points = len(cfg.mu) * len(cfg.nu) * len(cfg.n_values) * cfg.zeta.r_steps * len(cfg.zeta.thetas)
+        points = len(cfg.n_values) * cfg.zeta.r_steps * len(cfg.zeta.thetas)  # one mu, one nu
         assert not any(row.error for row in rows)
         assert calls == {"expectation": 0, "ladder_ops": 0, "paper_norm_sq": points}
