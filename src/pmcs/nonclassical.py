@@ -7,12 +7,12 @@ path evaluates the closed-form Laguerre sums literally (including their
 diagonal-only structure), the oracle path works on the truncated state
 vector.  a and a† are one-off-diagonal, so the oracle's moments and
 squeezing quantities are O(d) sums over populations |c_n|^2 or neighbouring
-amplitudes, equal to the dense truncated-space products; only the
-quasi-probability still displaces the state with a dense matrix.  The
-*_paper functions take the closed-form squared norm from the caller (a sweep
-reads it from the state it built) instead of walking its lattice again.  The
-oracle is authoritative; gaps between the two are data, not bugs, and are
-surfaced by the sweep layer.
+amplitudes, equal to the dense truncated-space products; the
+quasi-probability is a population sum in the displaced frame, with no d x d
+displacement.  The *_paper functions take the closed-form squared norm from
+the caller (a sweep reads it from the state it built) instead of walking its
+lattice again.  The oracle is authoritative; gaps between the two are data,
+not bugs, and are surfaced by the sweep layer.
 """
 
 from __future__ import annotations
@@ -232,41 +232,40 @@ def uncertainty_product(state: PMCState) -> float:
     return vx * vy
 
 
-def _weight_operator(s: float, dim: int) -> fock.FockOperator:
-    """Diagonal weight ((1+s)/(s-1))^n composed from exp(-lam n̂) (and the
-    parity diagonal when the base is negative)."""
-    w = (1.0 + s) / (s - 1.0)
-    if w == 0.0:
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[0, 0] = 1.0
-        return fock.FockOperator(mat, label="0^n")
-    if w > 0.0:
-        return fock.operator_exp_number(-math.log(w), dim)
-    parity = np.diag((-1.0) ** np.arange(dim)).astype(complex)
-    base = fock.operator_exp_number(-math.log(-w), dim)
-    return fock.FockOperator(parity @ base.matrix, label=f"({w:.6g})^n")
+def quasiprob_oracle(state: PMCState, qp: QuasiProbParams) -> float:
+    """F(gamma, s) = Tr[rho (2/(1-s)) D(gamma) w^n̂ D†(gamma)], w = (1+s)/(s-1).
 
-
-def quasiprob_oracle(state: PMCState, qp: QuasiProbParams, dim: int | None = None) -> float:
-    """F(gamma, s) = Tr[rho (2/(1-s)) D(gamma) ((1+s)/(s-1))^n̂ D†(gamma)].
-
-    Normalized so that (1/pi) integral of F(., -1) over the plane is 1 (the
-    coherent-state value at gamma = zeta, s = -1, N = 0 is exactly 1).  For
-    s > 1 the diagonal weight grows with n and the truncated trace is only
-    accepted when its summand still decays (otherwise ConvergenceError).
+    Built from the state's definition, not its vector: D†(gamma) (mu a +
+    nu a†)^N |zeta> is, up to a phase, (mu a + nu a† + mu gamma + nu gamma*)^N
+    |zeta - gamma> (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and F =
+    (2/(1-s)) sum_n w^n p_n over its normalized populations, at the state's
+    dimension or ``fock.default_dim(zeta - gamma, N)`` if larger.  The sum
+    goes through ``fock.trace_sum`` (ConvergenceError where truncation or
+    cancellation can dominate it); w^(d-1) beyond the double range (s near
+    1) raises ValueError.  (1/pi) integral of F(., -1) over the plane is 1.
     """
-    if abs(qp.s - 1.0) < 1e-12:
+    s = qp.s
+    if abs(s - 1.0) < 1e-12:
         raise ValueError("the operator form diverges at s = 1 (prefactor 2/(1-s))")
-    vec = state.vector if dim is None else state.vector.padded(dim)
-    disp = fock.displacement(qp.gamma, vec.dim)
-    weight = _weight_operator(qp.s, vec.dim)
-    # Cyclic form Tr[(D† rho D) w^n̂]: in the weight eigenbasis the per-level
-    # summand is w^n |<n|D†|psi>|^2, the quantity whose decay actually decides
-    # whether the truncated trace means anything for |s| > 1.
-    displaced = fock.FockVector(disp.matrix.conj().T @ vec.amplitudes, vec.basis_offset)
-    trace = fock.density_and_trace(displaced, weight, context=f"s={qp.s}, gamma={qp.gamma:.4g}")
-    value = 2.0 / (1.0 - qp.s) * trace
-    return _real_part(value, "F(gamma, s)")
+    params, beta = state.params, state.zeta - qp.gamma
+    dim = max(state.dim, fock.default_dim(beta, params.N))
+    w = (1.0 + s) / (s - 1.0)
+    if abs(w) > 1.0 and (dim - 1) * math.log(abs(w)) > math.log(np.finfo(float).max):
+        raise ValueError(f"weight ({w:.6g})^n overflows the double range at n={dim - 1} for s={s}")
+    coherent, _ = fock.coherent_state(beta, dim)
+    shift = params.mu * qp.gamma + params.nu * qp.gamma.conjugate()
+    raw = fock.apply_superposed_power(params, coherent, shift)
+    # The same updates on magnitudes bound every partial sum, hence each
+    # amplitude's rounding error: the shift can cancel what the state keeps.
+    bound = fock.apply_superposed_power(
+        ModulationParams(abs(params.mu), abs(params.nu), params.N),
+        fock.FockVector(np.abs(coherent.amplitudes)), abs(shift),
+    )
+    weight = w ** np.arange(dim)
+    amp = np.abs(raw.normalized().amplitudes)
+    magnitudes = np.abs(weight) * amp * bound.amplitudes.real / math.sqrt(raw.norm_sq())
+    trace = fock.trace_sum(weight * amp**2, f"s={s}, gamma={qp.gamma:.4g}", magnitudes)
+    return 2.0 / (1.0 - s) * trace.real
 
 
 def quasiprob_paper(

@@ -67,7 +67,7 @@ def _log_polar(value: complex) -> tuple[float, float]:
     value = complex(value)
     if value == 0:
         return -math.inf, 0.0
-    return math.log(abs(value)), cmath.phase(value)
+    return math.log(abs(value)), math.atan2(value.imag, value.real)  # cmath.phase raises on underflow
 
 
 def expand_superposed_power(params: ModulationParams) -> NormalOrderedSeries:

@@ -156,7 +156,10 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.family)
     def test_no_dense_algebra_and_one_norm_walk_per_point(self, monkeypatch, cfg):
-        calls = {"expectation": 0, "ladder_ops": 0, "paper_norm_sq": 0}
+        calls = {
+            "expectation": 0, "ladder_ops": 0, "paper_norm_sq": 0,
+            "displacement": 0, "density_and_trace": 0, "eigh": 0,
+        }
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -170,8 +173,12 @@ class TestWorkCounts:
             for name in calls:
                 if name in vars(module):
                     monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         rows = sweeps.run_sweep(cfg)
 
         points = len(cfg.n_values) * cfg.zeta.r_steps * len(cfg.zeta.thetas)  # one mu, one nu
         assert not any(row.error for row in rows)
-        assert calls == {"expectation": 0, "ladder_ops": 0, "paper_norm_sq": points}
+        assert calls == {
+            "expectation": 0, "ladder_ops": 0, "paper_norm_sq": points,
+            "displacement": 0, "density_and_trace": 0, "eigh": 0,
+        }

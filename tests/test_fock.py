@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from pmcs import fock
 from pmcs.errors import ConvergenceError
+from pmcs.specfun import log_factorial_value
 from pmcs.weyl import ModulationParams
 
 small_complex = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -78,6 +80,30 @@ class TestCoherentState:
         ref = np.exp(-(abs(z1) ** 2 + abs(z2) ** 2) / 2 + np.conj(z1) * z2)
         assert got == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("zeta", [0.3, 1.0 + 1.0j, -2.5j, 4.0 * cmath.exp(0.7j), 9.0])
+    def test_amplitudes_bitwise_equal_per_level_expression(self, zeta):
+        # the log-factorial table must reproduce log_factorial_value(k) level by level
+        compared = 0
+        for dim in range(4, fock.DIM_CAP + 1):
+            try:
+                vec, _ = fock.coherent_state(zeta, dim)
+            except ConvergenceError:
+                continue
+            n = np.arange(dim)
+            log_mag = n * math.log(abs(zeta)) - 0.5 * np.array([log_factorial_value(int(k)) for k in n])
+            log_mag -= abs(zeta) * abs(zeta) / 2.0
+            amp = np.exp(np.maximum(log_mag, -745.0)) * np.exp(1j * cmath.phase(zeta) * n)
+            amp[log_mag < -745.0] = 0.0
+            ref = fock.FockVector(amp).normalized()
+            assert np.array_equal(vec.amplitudes, ref.amplitudes)
+            compared += 1
+        assert compared >= 50
+
+    def test_underflowing_phase_is_zero(self):
+        # atan2(5e-324, 2) underflows; cmath.phase raised OverflowError on it
+        vec, _ = fock.coherent_state(2.0 + 5e-324j, 40)
+        assert np.array_equal(vec.amplitudes, fock.coherent_state(2.0, 40)[0].amplitudes)
+
     def test_eigenvalue_property(self):
         vec, _ = fock.coherent_state(0.7 - 0.4j, 40)
         a, _ = fock.ladder_ops(40)
@@ -85,6 +111,23 @@ class TestCoherentState:
 
 
 class TestSuperposedPower:
+    def test_zero_shift_is_bit_identical(self):
+        vec, _ = fock.coherent_state(0.9 - 0.3j, 48)
+        params = ModulationParams(0.4 + 0.1j, 1.2, 5)
+        plain = fock.apply_superposed_power(params, vec)
+        assert np.array_equal(fock.apply_superposed_power(params, vec, 0j).amplitudes, plain.amplitudes)
+
+    @given(small_complex, st.integers(1, 6))
+    def test_shift_adds_identity_term(self, shift, n_pow):
+        vec, _ = fock.coherent_state(0.8 + 0.2j, 64)
+        params = ModulationParams(0.3, 0.7 - 0.2j, n_pow)
+        a, ad = (op.matrix for op in fock.ladder_ops(64))
+        ref = vec.amplitudes
+        for _ in range(n_pow):
+            ref = (params.mu * a + params.nu * ad + shift * np.eye(64)) @ ref
+        got = fock.apply_superposed_power(params, vec, shift).amplitudes
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(ref))))
+
     def test_identity_power(self):
         vec, _ = fock.coherent_state(0.5, 32)
         out = fock.apply_superposed_power(ModulationParams(1, 1, 0), vec)
@@ -193,6 +236,25 @@ class TestTrace:
         with pytest.raises(ConvergenceError, match="s=1.2-like"):
             fock.density_and_trace(vec, growth, context="s=1.2-like")
 
+    def test_tail_is_measured_against_the_sum(self):
+        # top decile 1e-10: 6.7e-11 of the magnitudes 1.5, but 2e-10 of the sum 0.5
+        same_sign = np.array([1.0, 0.5] + [0.0] * 17 + [1e-10])
+        assert fock.trace_sum(same_sign) == pytest.approx(1.5)
+        alternating = same_sign * (-1.0) ** np.arange(20)
+        with pytest.raises(ConvergenceError, match="does not decay at dim 20"):
+            fock.trace_sum(alternating)
+
+    def test_cancellation_beyond_three_digits_raises(self):
+        summand = np.array([1e4, -1e4 + 5.0] + [0.0] * 18)
+        with pytest.raises(ConvergenceError, match="cancels at dim 20"):
+            fock.trace_sum(summand)
+        assert fock.trace_sum(summand * 1e-2 + np.eye(20)[1]) == pytest.approx(1.05)  # 2.3 digits
+        with pytest.raises(ConvergenceError, match="cancels"):
+            fock.trace_sum(np.array([1.0] + [0.0] * 19), magnitudes=np.full(20, 100.0))
+
+    def test_zero_sum_of_zeros_passes(self):
+        assert fock.trace_sum(np.zeros(12)) == 0
+
 
 class TestVectors:
     def test_minimum_dimension(self):
@@ -202,13 +264,6 @@ class TestVectors:
     def test_normalize_invariant(self):
         vec = fock.FockVector(np.array([3.0, 4.0, 0.0, 0.0], dtype=complex))
         assert vec.normalized().norm_sq() == pytest.approx(1.0, abs=1e-12)
-
-    def test_padding_preserves_amplitudes(self):
-        vec, _ = fock.coherent_state(0.5, 16)
-        padded = vec.padded(32)
-        assert padded.dim == 32
-        assert np.array_equal(padded.amplitudes[:16], vec.amplitudes)
-        assert np.all(padded.amplitudes[16:] == 0)
 
     def test_default_dim_rule(self):
         zeta, n_pow = 1.5 + 0.5j, 3

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from pmcs import nonclassical as nc, states
-from pmcs.errors import ConvergenceError
 from pmcs.nonclassical import QuasiProbParams, UndefinedRatioError
 from pmcs.weyl import ModulationParams
 
@@ -251,11 +250,6 @@ class TestQuasiProbOracle:
         state = states.build_state(ModulationParams(0.001, 1.2, 2), 1j, dim=120)
         value = nc.quasiprob_oracle(state, QuasiProbParams(0.0, 1.2))
         assert value < 0.0
-
-    def test_s_above_one_refuses_noise_dominated_points(self):
-        state = states.build_state(ModulationParams(0.001, 1.2, 2), 1j, dim=160)
-        with pytest.raises(ConvergenceError, match="s=1.2"):
-            nc.quasiprob_oracle(state, QuasiProbParams(0.5, 1.2))
 
     def test_husimi_matches_overlap_formula(self):
         zeta, gamma = 1.1, 0.4 - 0.7j

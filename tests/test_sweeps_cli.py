@@ -264,6 +264,14 @@ class TestPresetCoverage:
 
 
 class TestCli:
+    @pytest.mark.parametrize("command", [
+        ["weyl", "dump", "--N", "2", "--mu", "2+5e-324j", "--nu", "1"],
+        ["state", "build", "--mu", "0", "--nu", "1", "--N", "1", "--zeta-re", "2", "--zeta-im", "5e-324"],
+    ])
+    def test_underflowing_phase_is_no_traceback(self, command, capsys):
+        # atan2(5e-324, 2) underflows; cmath.phase raised OverflowError on it
+        assert cli.main(command) == 0
+
     def test_weyl_dump(self, capsys):
         assert cli.main(["weyl", "dump", "--N", "2", "--mu", "1", "--nu", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
