@@ -23,7 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DIM_CAP = 256
 TAIL_TOL = 1e-12
-_LOG_FACTORIALS = np.array([log_factorial_value(k) for k in range(DIM_CAP)])
+_HALF_LOG_FACTORIALS = 0.5 * np.array([log_factorial_value(k) for k in range(DIM_CAP)])
+_ROOTS = np.sqrt(np.arange(1, DIM_CAP, dtype=float))
+_LOW, _HIGH = np.s_[..., :-1], np.s_[..., 1:]  # levels 0..d-2 and 1..d-1 of a row
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -32,13 +34,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tail_fractions(weights: np.ndarray) -> list[float]:
+    """Per row: fraction of its weight carried by its top 10% of levels."""
+    totals = weights.sum(axis=1).tolist()
+    tails = weights[:, -max(1, weights.shape[1] // 10):].sum(axis=1).tolist()
+    return [0.0 if total <= 0.0 else tail / total for tail, total in zip(tails, totals)]
+
+
 def _tail_fraction(weights: np.ndarray) -> float:
     """Fraction of total weight carried by the top 10% of levels."""
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        return 0.0
-    k = max(1, len(weights) // 10)
-    return float(np.sum(weights[-k:])) / total
+    return _tail_fractions(weights[None, :])[0]
+
+
+def _norms_sq(amps: np.ndarray) -> list[float]:
+    """<v|v> of each row, by the row's own vdot."""
+    return [float(np.vdot(row, row).real) for row in amps]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +62,7 @@ class FockVector:
         amp = _freeze(self.amplitudes)
         if amp.ndim != 1 or amp.size < 4:
             raise ValueError("a Fock vector needs at least 4 levels")
-        if not np.all(np.isfinite(amp)):
+        if not np.isfinite(amp).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -145,37 +155,111 @@ def identity(dim: int) -> FockOperator:
     return FockOperator(np.eye(dim, dtype=complex), label="I")
 
 
+def coherent_rows(zetas, dim: int, tol: float = TAIL_TOL) -> tuple[np.ndarray, list[float], list]:
+    """``coherent_state`` for each z, as rows: (amplitudes, tail masses,
+    errors), errors[i] being the exception of row i or None.  Per-row scalars
+    are Python floats and row reductions are the row's own, so a row does not
+    depend on the others.
+    """
+    _check_dim(dim, minimum=4)
+    zetas = [complex(z) for z in zetas]
+    logs, halves, turns = [], [], []
+    for z in zetas:
+        r = abs(z)
+        logs.append(math.log(r) if z else 0.0)
+        halves.append(r * r / 2.0)
+        turns.append(1j * math.atan2(z.imag, z.real))  # cmath.phase raises when the angle underflows
+    n = np.arange(dim)
+    log_mag = np.array(logs)[:, None] * n - _HALF_LOG_FACTORIALS[:dim]
+    log_mag -= np.array(halves)[:, None]
+    amp = np.exp(np.maximum(log_mag, -745.0)) * np.exp(np.array(turns)[:, None] * n)
+    amp[log_mag < -745.0] = 0.0
+    errors: list = [None] * len(zetas)
+    for i, z in enumerate(zetas):
+        if not z:
+            amp[i] = 0.0
+            amp[i, 0] = 1.0
+        elif not amp[i].any():
+            errors[i] = ConvergenceError(
+                f"coherent state |zeta|={abs(z):.3g} underflows at every level of dim {dim}: "
+                "its occupation lies above the truncation"
+            )
+    nsq = _norms_sq(amp)
+    _check_finite(amp, nsq, errors)  # leaves 0 as the norm of every failed row
+    errors = [e or (ValueError("cannot normalize the zero vector") if v == 0.0 else None) for e, v in zip(errors, nsq)]
+    amp /= np.array([math.sqrt(v) or 1.0 for v in nsq])[:, None]
+    tails = _tail_fractions(np.abs(amp) ** 2)
+    for i, tail in enumerate(tails):
+        if errors[i] is None and not tail < tol:
+            errors[i] = ConvergenceError(
+                f"coherent state |zeta|={abs(zetas[i]):.3g} not converged at dim {dim}: "
+                f"tail mass {tail:.3e} >= {tol:.0e}"
+            )
+    return amp, tails, errors
+
+
+def _check_finite(amps: np.ndarray, nsq: list[float], errors: list) -> None:
+    """FockVector's finiteness check per row (only a non-finite norm can hide
+    a non-finite amplitude); failed rows are zeroed, with norm 0."""
+    for i, norm_sq in enumerate(nsq):
+        if errors[i] is None and not math.isfinite(norm_sq) and not np.isfinite(amps[i]).all():
+            errors[i] = ValueError("amplitudes must be finite")
+        if errors[i] is not None:
+            amps[i] = 0.0
+            nsq[i] = 0.0
+
+
 def coherent_state(zeta: complex, dim: int, tol: float = TAIL_TOL) -> tuple[FockVector, TruncationReport]:
     """Truncated coherent vector exp(-|z|^2/2) sum_n z^n/sqrt(n!) |n>, renormalized.
 
     Raises ConvergenceError when the top 10% of levels carry >= tol mass.
+    A one-row call of ``coherent_rows``.
     """
-    _check_dim(dim, minimum=4)
-    zeta = complex(zeta)
-    if zeta == 0:
-        amp = np.zeros(dim, dtype=complex)
-        amp[0] = 1.0
-    else:
-        n = np.arange(dim)
-        log_mag = n * math.log(abs(zeta)) - 0.5 * _LOG_FACTORIALS[:dim]
-        log_mag -= abs(zeta) * abs(zeta) / 2.0
-        phase = math.atan2(zeta.imag, zeta.real)  # cmath.phase raises when the angle underflows
-        amp = np.exp(np.maximum(log_mag, -745.0)) * np.exp(1j * phase * n)
-        amp[log_mag < -745.0] = 0.0
-        if not np.any(amp):
-            raise ConvergenceError(
-                f"coherent state |zeta|={abs(zeta):.3g} underflows at every level of dim {dim}: "
-                "its occupation lies above the truncation"
+    amps, tails, (error,) = coherent_rows([zeta], dim, tol)
+    if error is not None:
+        raise error
+    return FockVector(amps[0]), TruncationReport(dimension=dim, tail_mass=tails[0], converged=True)
+
+
+def superposed_power_rows(
+    params: "ModulationParams", amps: np.ndarray, shifts
+) -> tuple[np.ndarray, list[float], list]:
+    """``apply_superposed_power`` on each row of ``amps`` (rows x dim), row i
+    shifted by shifts[i]: (amplitudes, squared norms, errors), errors[i]
+    being the exception of row i or None.  N > dim/4 raises for the call.
+    """
+    rows, dim = amps.shape
+    if params.N > dim // 4:
+        raise ValueError(f"power N={params.N} needs dim >= {4 * params.N}, got {dim}")
+    errors: list = [None] * rows
+    if params.N == 0:
+        return amps, _norms_sq(amps), errors
+    root = _ROOTS[:dim - 1]  # sqrt(n) for n = 1 .. dim-1
+    down, up = params.mu * root, params.nu * root
+    # one row updates as a 1-D view: 2-D slicing adds ~1 us per update
+    amp = amps[0] if rows == 1 else amps
+    moving = [i for i, shift in enumerate(shifts) if shift]
+    column = np.array([shifts[i] for i in moving], dtype=complex).reshape((-1,) + (1,) * (amp.ndim - 1))
+    for _ in range(params.N):
+        nxt = np.zeros(amp.shape, dtype=complex)
+        np.multiply(down, amp[_HIGH], out=nxt[_LOW])
+        nxt[_HIGH] += up * amp[_LOW]
+        if len(moving) == rows:
+            nxt += column * amp
+        elif moving:
+            nxt[moving] += column * amp[moving]
+        amp = nxt
+    amp = amp.reshape(rows, dim)
+    nsq = _norms_sq(amp)
+    _check_finite(amp, nsq, errors)
+    tails = _tail_fractions(np.abs(amp) ** 2)
+    for i, tail in enumerate(tails):
+        if errors[i] is None and nsq[i] > 0.0 and tail >= TAIL_TOL:
+            errors[i] = ConvergenceError(
+                f"superposed power pushed {tail:.3e} of the mass into the "
+                f"top decile at dim {dim}; increase the dimension"
             )
-    vec = FockVector(amp).normalized()
-    tail = vec.tail_mass()
-    report = TruncationReport(dimension=dim, tail_mass=tail, converged=tail < tol)
-    if not report.converged:
-        raise ConvergenceError(
-            f"coherent state |zeta|={abs(zeta):.3g} not converged at dim {dim}: "
-            f"tail mass {tail:.3e} >= {tol:.0e}"
-        )
-    return vec, report
+    return amp, nsq, errors
 
 
 def apply_superposed_power(params: "ModulationParams", vec: FockVector, shift: complex = 0) -> FockVector:
@@ -184,31 +268,13 @@ def apply_superposed_power(params: "ModulationParams", vec: FockVector, shift: c
     Each update is the truncated mat-vec mu sqrt(n+1) c_{n+1} + nu sqrt(n)
     c_{n-1} + shift c_n (the last term only for a nonzero shift).  Requires
     N <= dim/4 of creation headroom and checks that the result keeps the top
-    decile of levels numerically empty.
+    decile of levels numerically empty.  A one-row call of
+    ``superposed_power_rows``.
     """
-    dim = vec.dim
-    if params.N > dim // 4:
-        raise ValueError(f"power N={params.N} needs dim >= {4 * params.N}, got {dim}")
-    if params.N == 0:
-        return vec
-    root = np.sqrt(np.arange(1, dim, dtype=float))  # sqrt(n) for n = 1 .. dim-1
-    down, up = params.mu * root, params.nu * root
-    amp = vec.amplitudes
-    for _ in range(params.N):
-        nxt = np.zeros(dim, dtype=complex)
-        nxt[:-1] = down * amp[1:]
-        nxt[1:] += up * amp[:-1]
-        if shift:
-            nxt += shift * amp
-        amp = nxt
-    out = FockVector(amp, vec.basis_offset)
-    nsq = out.norm_sq()
-    if nsq > 0.0 and out.tail_mass() >= TAIL_TOL:
-        raise ConvergenceError(
-            f"superposed power pushed {out.tail_mass():.3e} of the mass into the "
-            f"top decile at dim {dim}; increase the dimension"
-        )
-    return out
+    amps, _, (error,) = superposed_power_rows(params, vec.amplitudes[None, :], [shift])
+    if error is not None:
+        raise error
+    return FockVector(amps[0], vec.basis_offset) if params.N else vec
 
 
 @lru_cache(maxsize=8)
@@ -263,25 +329,43 @@ def operator_exp_number(lam: complex, dim: int) -> FockOperator:
     return FockOperator(np.diag(diag), label=f"exp(-{lam:.6g}·n)")
 
 
+def trace_rows(summands: np.ndarray, contexts, magnitudes: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """``trace_sum`` of each row of ``summands`` (contexts[i] and row i of
+    ``magnitudes`` going with row i): (sums, errors), errors[i] being the
+    exception of row i or None."""
+    totals = summands.sum(axis=1)
+    mags = np.abs(summands)
+    tails = mags[:, -max(1, mags.shape[1] // 10):].sum(axis=1)
+    sizes = (mags if magnitudes is None else magnitudes).sum(axis=1)
+    errors: list = []
+    for total, tail, size, context in zip(totals, tails, sizes, contexts):
+        total, tail, size = complex(total), float(tail), float(size)
+        where = f"at dim {mags.shape[1]}" + (f" ({context})" if context else "")
+        error = None
+        if not tail <= 1e-10 * abs(total):
+            frac = tail / abs(total) if total else math.inf
+            error = ConvergenceError(f"trace summand does not decay {where}: top-decile fraction {frac:.3e}")
+        elif size > 1e3 * max(abs(total), 1.0):
+            error = ConvergenceError(f"trace summand cancels {where}: |sum| {abs(total):.3e}, size {size:.3e}")
+        errors.append(error)
+    return totals, errors
+
+
 def trace_sum(summand: np.ndarray, context: str = "", magnitudes: np.ndarray | None = None) -> complex:
     """Sum of a truncated trace's per-level summand t_n, or ConvergenceError
     (carrying ``context``) when the top decile of levels carries more than
     1e-10 of |sum t_n|, or when the ``magnitudes`` (default |t_n|; a larger
     bound where the t_n came out of cancelling sums) add up to more than
     1e3 max(|sum t_n|, 1): rounding then ate three digits.  For a summand of
-    one sign only the top-decile fraction test remains.
+    one sign only the top-decile fraction test remains.  A one-row call of
+    ``trace_rows``.
     """
-    total = complex(np.sum(summand))
-    mags = np.abs(summand)
-    tail = float(np.sum(mags[-max(1, mags.size // 10):]))
-    where = f"at dim {mags.size}" + (f" ({context})" if context else "")
-    if not tail <= 1e-10 * abs(total):
-        frac = tail / abs(total) if total else math.inf
-        raise ConvergenceError(f"trace summand does not decay {where}: top-decile fraction {frac:.3e}")
-    size = float(np.sum(mags if magnitudes is None else magnitudes))
-    if size > 1e3 * max(abs(total), 1.0):
-        raise ConvergenceError(f"trace summand cancels {where}: |sum| {abs(total):.3e}, size {size:.3e}")
-    return total
+    totals, (error,) = trace_rows(
+        summand[None, :], [context], None if magnitudes is None else magnitudes[None, :]
+    )
+    if error is not None:
+        raise error
+    return complex(totals[0])
 
 
 def density_and_trace(vec: FockVector, op: FockOperator, context: str = "") -> complex:

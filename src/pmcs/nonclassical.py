@@ -9,7 +9,9 @@ vector.  a and a† are one-off-diagonal, so the oracle's moments and
 squeezing quantities are O(d) sums over populations |c_n|^2 or neighbouring
 amplitudes, equal to the dense truncated-space products; the
 quasi-probability is a population sum in the displaced frame, with no d x d
-displacement.  The *_paper functions take the closed-form squared norm from
+displacement, evaluated for a state point's whole gamma grid in one
+row-batched pass (``quasiprob_grid``; ``quasiprob_oracle`` is its one-gamma
+case).  The *_paper functions take the closed-form squared norm from
 the caller (a sweep reads it from the state it built) instead of walking its
 lattice again.  The oracle is authoritative; gaps between the two are data,
 not bugs, and are surfaced by the sweep layer.
@@ -232,40 +234,94 @@ def uncertainty_product(state: PMCState) -> float:
     return vx * vy
 
 
-def quasiprob_oracle(state: PMCState, qp: QuasiProbParams) -> float:
-    """F(gamma, s) = Tr[rho (2/(1-s)) D(gamma) w^n̂ D†(gamma)], w = (1+s)/(s-1).
+GRID_ROWS = 64  # gammas per array pass: bounds the working set at 64 x 256 levels
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+
+def quasiprob_grid(state: PMCState, gammas, s: float) -> list:
+    """F(gamma, s) = Tr[rho (2/(1-s)) D(gamma) w^n̂ D†(gamma)], w = (1+s)/(s-1),
+    at every gamma of ``gammas``: in order, each gamma's value or the
+    exception (ConvergenceError or ValueError) that refuses it, which
+    ``quasiprob_oracle`` raises for a single gamma.
 
     Built from the state's definition, not its vector: D†(gamma) (mu a +
     nu a†)^N |zeta> is, up to a phase, (mu a + nu a† + mu gamma + nu gamma*)^N
     |zeta - gamma> (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and F =
-    (2/(1-s)) sum_n w^n p_n over its normalized populations, at the state's
-    dimension or ``fock.default_dim(zeta - gamma, N)`` if larger.  The sum
-    goes through ``fock.trace_sum`` (ConvergenceError where truncation or
+    (2/(1-s)) sum_n w^n p_n over its normalized populations, in d_gamma =
+    max(state.dim, ``fock.default_dim(zeta - gamma, N)``) levels.  The sum
+    goes through ``fock.trace_rows`` (ConvergenceError where truncation or
     cancellation can dominate it); w^(d-1) beyond the double range (s near
-    1) raises ValueError.  (1/pi) integral of F(., -1) over the plane is 1.
+    1) is a ValueError.  (1/pi) integral of F(., -1) over the plane is 1.
+
+    The gammas sharing a d_gamma go through the ``fock`` row kernels
+    together, ``GRID_ROWS`` at a time.  Every per-gamma scalar stays a Python
+    number and every row reduction is the row's own, so an entry does not
+    depend on the rest of the grid.
     """
-    s = qp.s
+    gammas = [complex(g) for g in gammas]
+    s = float(s)
     if abs(s - 1.0) < 1e-12:
-        raise ValueError("the operator form diverges at s = 1 (prefactor 2/(1-s))")
-    params, beta = state.params, state.zeta - qp.gamma
-    dim = max(state.dim, fock.default_dim(beta, params.N))
+        return [ValueError("the operator form diverges at s = 1 (prefactor 2/(1-s))")] * len(gammas)
     w = (1.0 + s) / (s - 1.0)
-    if abs(w) > 1.0 and (dim - 1) * math.log(abs(w)) > math.log(np.finfo(float).max):
-        raise ValueError(f"weight ({w:.6g})^n overflows the double range at n={dim - 1} for s={s}")
-    coherent, _ = fock.coherent_state(beta, dim)
-    shift = params.mu * qp.gamma + params.nu * qp.gamma.conjugate()
-    raw = fock.apply_superposed_power(params, coherent, shift)
+    groups: dict[int, list[int]] = {}
+    for i, gamma in enumerate(gammas):
+        dim = max(state.dim, fock.default_dim(state.zeta - gamma, state.params.N))
+        groups.setdefault(dim, []).append(i)
+    out: list = [None] * len(gammas)
+    for dim, members in groups.items():
+        if abs(w) > 1.0 and (dim - 1) * math.log(abs(w)) > _LOG_DBL_MAX:
+            error = ValueError(f"weight ({w:.6g})^n overflows the double range at n={dim - 1} for s={s}")
+            for i in members:
+                out[i] = error
+            continue
+        weight = w ** np.arange(dim)
+        for start in range(0, len(members), GRID_ROWS):
+            block = members[start:start + GRID_ROWS]
+            values = _quasiprob_block(state, [gammas[i] for i in block], s, dim, weight)
+            for i, value in zip(block, values):
+                out[i] = value
+    return out
+
+
+def _quasiprob_block(state: PMCState, gammas: list[complex], s: float, dim: int, weight: np.ndarray) -> list:
+    """``quasiprob_grid`` for gammas that share the dimension ``dim``.  A row
+    that fails a check is zeroed by its kernel and carried along; its first
+    error is its result."""
+    params = state.params
+    shifts = [params.mu * gamma + params.nu * gamma.conjugate() for gamma in gammas]
+    coherent, _, coherent_errors = fock.coherent_rows([state.zeta - gamma for gamma in gammas], dim)
+    raw, nsq, raw_errors = fock.superposed_power_rows(params, coherent, shifts)
     # The same updates on magnitudes bound every partial sum, hence each
     # amplitude's rounding error: the shift can cancel what the state keeps.
-    bound = fock.apply_superposed_power(
+    bound, _, bound_errors = fock.superposed_power_rows(
         ModulationParams(abs(params.mu), abs(params.nu), params.N),
-        fock.FockVector(np.abs(coherent.amplitudes)), abs(shift),
+        np.abs(coherent).astype(complex), [abs(shift) for shift in shifts],
     )
-    weight = w ** np.arange(dim)
-    amp = np.abs(raw.normalized().amplitudes)
-    magnitudes = np.abs(weight) * amp * bound.amplitudes.real / math.sqrt(raw.norm_sq())
-    trace = fock.trace_sum(weight * amp**2, f"s={s}, gamma={qp.gamma:.4g}", magnitudes)
-    return 2.0 / (1.0 - s) * trace.real
+    out = [
+        c or r or b or (ValueError("cannot normalize the zero vector") if n == 0.0 else None)
+        for c, r, b, n in zip(coherent_errors, raw_errors, bound_errors, nsq)
+    ]
+    live = [i for i, error in enumerate(out) if error is None]
+    if len(live) < len(gammas):
+        raw, bound, nsq = raw[live], bound[live], [nsq[i] for i in live]
+    norms = np.array([math.sqrt(n) for n in nsq])[:, None]
+    amp = np.abs(raw / norms)
+    magnitudes = np.abs(weight) * amp * bound.real / norms
+    contexts = [f"s={s}, gamma={gammas[i]:.4g}" for i in live]
+    traces, errors = fock.trace_rows(weight * amp**2, contexts, magnitudes)
+    for i, trace, error in zip(live, traces, errors):
+        out[i] = error if error is not None else 2.0 / (1.0 - s) * complex(trace).real
+    return out
+
+
+def quasiprob_oracle(state: PMCState, qp: QuasiProbParams) -> float:
+    """F(gamma, s) at one point: the one-gamma case of ``quasiprob_grid``,
+    raising the exception it returns (ConvergenceError where truncation or
+    cancellation can dominate the sum, ValueError near s = 1)."""
+    (value,) = quasiprob_grid(state, [qp.gamma], qp.s)
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def quasiprob_paper(

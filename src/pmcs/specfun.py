@@ -232,8 +232,8 @@ def two_param_hermite_eval(m: int, n: int, z: complex) -> PolynomialEval:
     w = -z.conjugate()
     log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
     log_abs_w = math.log(abs(w)) if w != 0 else -math.inf
-    arg_z = cmath.phase(z) if z != 0 else 0.0
-    arg_w = cmath.phase(w) if w != 0 else 0.0
+    arg_z = math.atan2(z.imag, z.real) if z != 0 else 0.0  # cmath.phase raises when the angle underflows
+    arg_w = math.atan2(w.imag, w.real) if w != 0 else 0.0
     lbase = log_factorial_value(m) + log_factorial_value(n)
 
     entries = []

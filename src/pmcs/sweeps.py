@@ -280,22 +280,23 @@ def _quasi_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
     spec = cfg.quasi
     base = dict(mu=mu, nu=nu, N=n_pow, r=r, theta=theta, s=spec.s, truncation_dim=dim)
 
-    state = None
-    build_err = ""
+    gammas = spec.gamma.points()
     try:
         params = ModulationParams(mu, nu, n_pow)
         state = states.build_state(params, zeta, dim)
-        base["tail_mass"] = state.tail_mass()
     except (PmcsError, ValueError) as exc:
-        params = None
-        build_err = f"{type(exc).__name__}: {exc}"
+        for gamma in gammas:
+            yield SweepRow(quantity="quasiprob", gamma=gamma, error=f"{type(exc).__name__}: {exc}", **base)
+        return
+    base["tail_mass"] = state.tail_mass()
 
     want_paper = cfg.engine in ("paper", "both")
-    want_oracle = cfg.engine in ("oracle", "both")
-    for gamma in spec.gamma.points():
-        if params is None:
-            yield SweepRow(quantity="quasiprob", gamma=gamma, error=build_err, **base)
-            continue
+    # the oracle evaluates the point's whole gamma grid at once
+    oracle_grid = (
+        nonclassical.quasiprob_grid(state, gammas, spec.s)
+        if cfg.engine in ("oracle", "both") else [None] * len(gammas)
+    )
+    for gamma, result in zip(gammas, oracle_grid):
         qp = QuasiProbParams(gamma=gamma, s=spec.s)
         paper = oracle = None
         err_p = err_o = ""
@@ -304,11 +305,10 @@ def _quasi_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
                 paper = nonclassical.quasiprob_paper(params, zeta, qp, state.norm_sq_paper)
             except (PmcsError, ValueError) as exc:
                 err_p = f"paper: {type(exc).__name__}: {exc}"
-        if want_oracle:
-            try:
-                oracle = nonclassical.quasiprob_oracle(state, qp)
-            except (PmcsError, ValueError) as exc:
-                err_o = f"oracle: {type(exc).__name__}: {exc}"
+        if isinstance(result, Exception):
+            err_o = f"oracle: {type(result).__name__}: {result}"
+        else:
+            oracle = result
         yield SweepRow(
             quantity="quasiprob", gamma=gamma, paper_value=paper, oracle_value=oracle,
             rel_gap=_rel_gap(paper, oracle), error=_merge_error(err_p, err_o), **base,

@@ -182,3 +182,29 @@ class TestWorkCounts:
             "expectation": 0, "ladder_ops": 0, "paper_norm_sq": points,
             "displacement": 0, "density_and_trace": 0, "eigh": 0,
         }
+
+    def test_quasiprob_sweep_makes_one_grid_call_per_point(self, monkeypatch):
+        cfg = SweepConfig(
+            family="quasiprob", mu=(0.001,), nu=(1.2,), n_values=(0, 2),
+            zeta=ZetaGrid(0.5, 1.0, 2, (math.pi / 2,)),
+            quasi=QuasiSpec(s=-0.5, gamma=GammaGrid(0.3, 1.0, 3, (0.0, 1.0))),
+        )
+        calls = {"quasiprob_grid": 0, "quasiprob_oracle": 0, "coherent_state": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(nc, "quasiprob_grid")
+        counting(nc, "quasiprob_oracle")
+        counting(fock, "coherent_state")
+        rows = sweeps.run_sweep(cfg)
+
+        points = len(cfg.n_values) * cfg.zeta.r_steps * len(cfg.zeta.thetas)
+        assert len(rows) == points * 6 and not any(row.error for row in rows)
+        assert calls == {"quasiprob_grid": points, "quasiprob_oracle": 0, "coherent_state": points}

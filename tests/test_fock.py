@@ -82,12 +82,16 @@ class TestCoherentState:
 
     @pytest.mark.parametrize("zeta", [0.3, 1.0 + 1.0j, -2.5j, 4.0 * cmath.exp(0.7j), 9.0])
     def test_amplitudes_bitwise_equal_per_level_expression(self, zeta):
-        # the log-factorial table must reproduce log_factorial_value(k) level by level
+        # the log-factorial table must reproduce log_factorial_value(k) level by
+        # level, in a one-row call and in a row beside others (the vacuum, a
+        # row that underflows, a second amplitude)
         compared = 0
         for dim in range(4, fock.DIM_CAP + 1):
+            amps, tails, errors = fock.coherent_rows([0.0, zeta, 1e6, 0.5 * zeta], dim)
             try:
-                vec, _ = fock.coherent_state(zeta, dim)
-            except ConvergenceError:
+                vec, report = fock.coherent_state(zeta, dim)
+            except ConvergenceError as exc:
+                assert (type(errors[1]), str(errors[1])) == (type(exc), str(exc))
                 continue
             n = np.arange(dim)
             log_mag = n * math.log(abs(zeta)) - 0.5 * np.array([log_factorial_value(int(k)) for k in n])
@@ -96,6 +100,9 @@ class TestCoherentState:
             amp[log_mag < -745.0] = 0.0
             ref = fock.FockVector(amp).normalized()
             assert np.array_equal(vec.amplitudes, ref.amplitudes)
+            assert errors[1] is None and tails[1] == report.tail_mass
+            assert np.array_equal(amps[1], ref.amplitudes)
+            assert np.array_equal(amps[0], np.eye(dim)[0]) and isinstance(errors[2], ConvergenceError)
             compared += 1
         assert compared >= 50
 
@@ -164,6 +171,29 @@ class TestSuperposedPower:
         vec, _ = fock.coherent_state(0.0, 16)
         with pytest.raises(ValueError):
             fock.apply_superposed_power(ModulationParams(0, 1, 5), vec)
+
+    @pytest.mark.parametrize("n_pow", [0, 1, 3, 8])
+    def test_rows_equal_one_row_calls(self, n_pow):
+        # per-row shifts, zero shifts among nonzero ones, and rows that fail on
+        # their own: mass pushed into the top decile, amplitudes overflowing
+        dim = 40
+        rows = [fock.coherent_state(z, dim)[0].amplitudes for z in (0.4, 1.1 - 0.6j, -0.9j, 0.0)]
+        rows.append(np.eye(dim)[dim - 5].astype(complex))
+        rows.append(np.full(dim, 1e307, dtype=complex))
+        shifts = [0.3 - 0.2j, 0.0, 1.7j, -0.0, 0.5, 2.0]
+        params = ModulationParams(0.7 + 0.2j, 3.0, n_pow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps, nsq, errors = fock.superposed_power_rows(params, np.array(rows), shifts)
+            for row, shift, got, got_nsq, error in zip(rows, shifts, amps, nsq, errors):
+                try:
+                    vec = fock.apply_superposed_power(params, fock.FockVector(row), shift)
+                except (ConvergenceError, ValueError) as exc:
+                    assert (type(error), str(error)) == (type(exc), str(exc))
+                    continue
+                assert error is None
+                assert np.array_equal(got, vec.amplitudes) and got_nsq == vec.norm_sq()
+        failed = [type(e) for e in errors if e is not None]
+        assert failed == ([] if n_pow == 0 else [ConvergenceError, ValueError])
 
 
 class TestDisplacement:
@@ -254,6 +284,21 @@ class TestTrace:
 
     def test_zero_sum_of_zeros_passes(self):
         assert fock.trace_sum(np.zeros(12)) == 0
+
+    def test_rows_equal_one_row_calls(self):
+        decaying = 0.1 ** np.arange(20)
+        rows = [decaying, -decaying, 11.0 ** np.arange(20), np.array([1e4, -1e4 + 5.0] + [0.0] * 18), np.zeros(20)]
+        for magnitudes in (None, np.full((len(rows), 20), 100.0)):
+            contexts = [f"row {i}" for i in range(len(rows))]
+            sums, errors = fock.trace_rows(np.array(rows), contexts, magnitudes)
+            for i, (row, got, error) in enumerate(zip(rows, sums, errors)):
+                try:
+                    want = fock.trace_sum(row, contexts[i], None if magnitudes is None else magnitudes[i])
+                except ConvergenceError as exc:
+                    assert (type(error), str(error)) == (type(exc), str(exc))
+                    continue
+                assert error is None and complex(got) == want
+            assert [e is None for e in errors] == ([True, True, False, False, True] if magnitudes is None else [False, False, False, True, False])
 
 
 class TestVectors:

@@ -149,6 +149,11 @@ class TestTwoParamHermite:
         with pytest.raises(ValueError):
             specfun.two_param_hermite(33, 0, 1.0)
 
+    def test_underflowing_phase(self):
+        # atan2(5e-324, 2) underflows; cmath.phase raised OverflowError on it
+        got = specfun.two_param_hermite_eval(2, 1, 2.0 + 5e-324j).value
+        assert got == pytest.approx(specfun.two_param_hermite_eval(2, 1, 2.0).value, rel=1e-15)
+
     def test_matches_brute_force_on_grid(self):
         grid = [complex(a, b) for a in (-2.0, -0.5, 0.0, 1.0, 2.5) for b in (-1.5, -0.3, 0.0, 0.7, 2.0)]
         for m in range(9):

@@ -246,7 +246,7 @@ class TestPresetCoverage:
             spy(states, name)
         for name in (
             "moments_oracle", "moments_paper", "a3", "squeezing_identities",
-            "uncertainty_product", "quasiprob_oracle", "quasiprob_paper",
+            "uncertainty_product", "quasiprob_grid", "quasiprob_paper",
             "fidelity_oracle", "fidelity_paper",
         ):
             spy(nonclassical, name)
@@ -257,7 +257,7 @@ class TestPresetCoverage:
         expected = {
             "build_state", "paper_norm_sq",
             "moments_oracle", "moments_paper", "a3", "squeezing_identities",
-            "uncertainty_product", "quasiprob_oracle", "quasiprob_paper",
+            "uncertainty_product", "quasiprob_grid", "quasiprob_paper",
             "fidelity_oracle", "fidelity_paper",
         }
         assert expected <= called
