@@ -26,6 +26,8 @@ TAIL_TOL = 1e-12
 _HALF_LOG_FACTORIALS = 0.5 * np.array([log_factorial_value(k) for k in range(DIM_CAP)])
 _ROOTS = np.sqrt(np.arange(1, DIM_CAP, dtype=float))
 _LOW, _HIGH = np.s_[..., :-1], np.s_[..., 1:]  # levels 0..d-2 and 1..d-1 of a row
+_NON_FINITE = "amplitudes must be finite"
+_ZERO_NORM = "cannot normalize the zero vector"
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -63,7 +65,7 @@ class FockVector:
         if amp.ndim != 1 or amp.size < 4:
             raise ValueError("a Fock vector needs at least 4 levels")
         if not np.isfinite(amp).all():
-            raise ValueError("amplitudes must be finite")
+            raise ValueError(_NON_FINITE)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -76,7 +78,7 @@ class FockVector:
     def normalized(self) -> "FockVector":
         norm = math.sqrt(self.norm_sq())
         if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+            raise ValueError(_ZERO_NORM)
         return FockVector(self.amplitudes / norm, self.basis_offset)
 
     def tail_mass(self) -> float:
@@ -155,7 +157,7 @@ def identity(dim: int) -> FockOperator:
     return FockOperator(np.eye(dim, dtype=complex), label="I")
 
 
-def coherent_rows(zetas, dim: int, tol: float = TAIL_TOL) -> tuple[np.ndarray, list[float], list]:
+def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
     """``coherent_state`` for each z, as rows: (amplitudes, tail masses,
     errors), errors[i] being the exception of row i or None.  Per-row scalars
     are Python floats and row reductions are the row's own, so a row does not
@@ -185,15 +187,14 @@ def coherent_rows(zetas, dim: int, tol: float = TAIL_TOL) -> tuple[np.ndarray, l
                 "its occupation lies above the truncation"
             )
     nsq = _norms_sq(amp)
-    _check_finite(amp, nsq, errors)  # leaves 0 as the norm of every failed row
-    errors = [e or (ValueError("cannot normalize the zero vector") if v == 0.0 else None) for e, v in zip(errors, nsq)]
-    amp /= np.array([math.sqrt(v) or 1.0 for v in nsq])[:, None]
+    _check_finite(amp, nsq, errors)
+    amp, _ = normalize_rows(amp, nsq, errors)
     tails = _tail_fractions(np.abs(amp) ** 2)
     for i, tail in enumerate(tails):
-        if errors[i] is None and not tail < tol:
+        if errors[i] is None and not tail < TAIL_TOL:
             errors[i] = ConvergenceError(
                 f"coherent state |zeta|={abs(zetas[i]):.3g} not converged at dim {dim}: "
-                f"tail mass {tail:.3e} >= {tol:.0e}"
+                f"tail mass {tail:.3e} >= {TAIL_TOL:.0e}"
             )
     return amp, tails, errors
 
@@ -203,19 +204,30 @@ def _check_finite(amps: np.ndarray, nsq: list[float], errors: list) -> None:
     a non-finite amplitude); failed rows are zeroed, with norm 0."""
     for i, norm_sq in enumerate(nsq):
         if errors[i] is None and not math.isfinite(norm_sq) and not np.isfinite(amps[i]).all():
-            errors[i] = ValueError("amplitudes must be finite")
+            errors[i] = ValueError(_NON_FINITE)
         if errors[i] is not None:
             amps[i] = 0.0
             nsq[i] = 0.0
 
 
-def coherent_state(zeta: complex, dim: int, tol: float = TAIL_TOL) -> tuple[FockVector, TruncationReport]:
+def normalize_rows(amps: np.ndarray, nsq: list[float], errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """``FockVector.normalized`` per row: (each row over its norm, the norms
+    as a column), given the rows' squared norms.  A row of norm 0 without an
+    error gets the zero-vector ValueError in ``errors`` and stays 0."""
+    for i, norm_sq in enumerate(nsq):
+        if errors[i] is None and norm_sq == 0.0:
+            errors[i] = ValueError(_ZERO_NORM)
+    norms = np.array([math.sqrt(v) or 1.0 for v in nsq])[:, None]
+    return amps / norms, norms
+
+
+def coherent_state(zeta: complex, dim: int) -> tuple[FockVector, TruncationReport]:
     """Truncated coherent vector exp(-|z|^2/2) sum_n z^n/sqrt(n!) |n>, renormalized.
 
-    Raises ConvergenceError when the top 10% of levels carry >= tol mass.
+    Raises ConvergenceError when the top 10% of levels carry >= TAIL_TOL mass.
     A one-row call of ``coherent_rows``.
     """
-    amps, tails, (error,) = coherent_rows([zeta], dim, tol)
+    amps, tails, (error,) = coherent_rows([zeta], dim)
     if error is not None:
         raise error
     return FockVector(amps[0]), TruncationReport(dimension=dim, tail_mass=tails[0], converged=True)

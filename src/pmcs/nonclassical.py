@@ -264,10 +264,14 @@ def quasiprob_grid(state: PMCState, gammas, s: float) -> list:
         return [ValueError("the operator form diverges at s = 1 (prefactor 2/(1-s))")] * len(gammas)
     w = (1.0 + s) / (s - 1.0)
     groups: dict[int, list[int]] = {}
-    for i, gamma in enumerate(gammas):
-        dim = max(state.dim, fock.default_dim(state.zeta - gamma, state.params.N))
-        groups.setdefault(dim, []).append(i)
     out: list = [None] * len(gammas)
+    for i, gamma in enumerate(gammas):
+        try:
+            dim = max(state.dim, fock.default_dim(state.zeta - gamma, state.params.N))
+        except ValueError as exc:  # a NaN gamma has no dimension
+            out[i] = exc
+            continue
+        groups.setdefault(dim, []).append(i)
     for dim, members in groups.items():
         if abs(w) > 1.0 and (dim - 1) * math.log(abs(w)) > _LOG_DBL_MAX:
             error = ValueError(f"weight ({w:.6g})^n overflows the double range at n={dim - 1} for s={s}")
@@ -297,15 +301,12 @@ def _quasiprob_block(state: PMCState, gammas: list[complex], s: float, dim: int,
         ModulationParams(abs(params.mu), abs(params.nu), params.N),
         np.abs(coherent).astype(complex), [abs(shift) for shift in shifts],
     )
-    out = [
-        c or r or b or (ValueError("cannot normalize the zero vector") if n == 0.0 else None)
-        for c, r, b, n in zip(coherent_errors, raw_errors, bound_errors, nsq)
-    ]
+    out = [c or r or b for c, r, b in zip(coherent_errors, raw_errors, bound_errors)]
+    amp, norms = fock.normalize_rows(raw, nsq, out)
     live = [i for i, error in enumerate(out) if error is None]
     if len(live) < len(gammas):
-        raw, bound, nsq = raw[live], bound[live], [nsq[i] for i in live]
-    norms = np.array([math.sqrt(n) for n in nsq])[:, None]
-    amp = np.abs(raw / norms)
+        amp, bound, norms = amp[live], bound[live], norms[live]
+    amp = np.abs(amp)
     magnitudes = np.abs(weight) * amp * bound.real / norms
     contexts = [f"s={s}, gamma={gammas[i]:.4g}" for i in live]
     traces, errors = fock.trace_rows(weight * amp**2, contexts, magnitudes)

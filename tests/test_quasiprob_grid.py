@@ -89,6 +89,18 @@ class TestBatchInvariance:
         (value,) = nc.quasiprob_grid(state, [gamma], -1.0)
         assert outcome(value) == (ConvergenceError, str(info.value))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_gamma_without_a_dimension_refuses_alone(self):
+        # a NaN gamma (from an overflowing gamma-grid step) has no d_gamma;
+        # its entry is that ValueError and the rest of the grid still runs
+        state = states.build_state(ModulationParams(0.3, 0.8, 1), 0.5)
+        gammas = [complex(math.nan, math.nan), 0.5, complex(math.inf, math.nan)]
+        got = [outcome(value) for value in nc.quasiprob_grid(state, gammas, -0.5)]
+        assert got[0] == (ValueError, "cannot convert float NaN to integer")
+        assert isinstance(got[1], str)
+        assert got[2] == (ValueError, "amplitudes must be finite")
+        assert got == one_at_a_time(state, gammas, -0.5)
+
     def test_s_one_fills_the_grid(self):
         state = states.build_state(ModulationParams(0.3, 0.8, 1), 0.5)
         values = nc.quasiprob_grid(state, [0.0, 1.0, 2.0j], 1.0)

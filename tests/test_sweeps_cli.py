@@ -77,6 +77,20 @@ class TestConfig:
             assert row.error.startswith("ConvergenceError: ")
             assert "underflows at every level" in row.error
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gamma_step_gives_error_rows(self):
+        # r_max - r_min overflows: the step is inf and the gammas NaN or
+        # infinite; each becomes an oracle error row, the sweep goes on
+        cfg = SweepConfig(
+            family="quasiprob", mu=(0.001,), nu=(1.2,), n_values=(2,), engine="oracle",
+            zeta=ZetaGrid(1.0, 1.0, 1), quasi=QuasiSpec(-0.5, GammaGrid(-1e308, 1e308, 3)),
+        )
+        assert [row.error for row in sweeps.run_sweep(cfg)] == [
+            "oracle: ValueError: cannot convert float NaN to integer",
+            "oracle: ValueError: amplitudes must be finite",
+            "oracle: ValueError: amplitudes must be finite",
+        ]
+
     def test_load_config_overrides(self, tmp_path):
         doc = {"N": [2], "engine": "oracle", "zeta": {"r_min": 1.0, "r_max": 1.0, "r_steps": 1}}
         path = tmp_path / "cfg.json"
