@@ -238,7 +238,9 @@ def superposed_power_rows(
 ) -> tuple[np.ndarray, list[float], list]:
     """``apply_superposed_power`` on each row of ``amps`` (rows x dim), row i
     shifted by shifts[i]: (amplitudes, squared norms, errors), errors[i]
-    being the exception of row i or None.  N > dim/4 raises for the call.
+    being the exception of row i or None: a ConvergenceError where the
+    squared norm overflows the double range or the top decile of levels
+    holds TAIL_TOL of the mass.  N > dim/4 raises for the call.
     """
     rows, dim = amps.shape
     if params.N > dim // 4:
@@ -263,6 +265,11 @@ def superposed_power_rows(
         amp = nxt
     amp = amp.reshape(rows, dim)
     nsq = _norms_sq(amp)
+    for i, norm_sq in enumerate(nsq):  # finite amplitudes, overflowing norm
+        if not math.isfinite(norm_sq) and np.isfinite(amp[i]).all():
+            errors[i] = ConvergenceError(
+                f"superposed power overflows the double range at dim {dim}: squared norm {norm_sq}"
+            )
     _check_finite(amp, nsq, errors)
     tails = _tail_fractions(np.abs(amp) ** 2)
     for i, tail in enumerate(tails):

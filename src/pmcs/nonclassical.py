@@ -19,6 +19,7 @@ not bugs, and are surfaced by the sweep layer.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -338,12 +339,15 @@ def quasiprob_paper(
             + ((s+1)/s)(g* z + g z*)] / (l!(k-l)!(N-k-l)!)^2
 
     The closed form is undefined at s in {0, 1} (and s = -2); those values
-    raise, and the oracle path remains available there.
+    raise, and the oracle path remains available there.  A non-finite gamma
+    raises too, instead of returning NaN.
     """
     s = qp.s
     for pole, why in ((0.0, "division by s"), (1.0, "prefactor 1/(1-s)"), (-2.0, "division by s+2")):
         if abs(s - pole) < 1e-12:
             raise ValueError(f"closed form undefined at s = {pole:g} ({why})")
+    if not cmath.isfinite(qp.gamma):
+        raise ValueError(f"gamma must be finite, got {qp.gamma}")
     zeta = complex(zeta)
     gamma = qp.gamma
     g2 = abs(gamma) ** 2

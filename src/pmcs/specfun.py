@@ -1,9 +1,11 @@
 """Stable evaluation of the special functions behind all closed-form expressions.
 
 Laguerre and physicists' Hermite polynomials go through three-term
-recurrences; the two-parameter Hermite polynomial and every factorial or
-binomial weight are handled in log-magnitude + sign form so that modulation
-powers up to the supported caps never overflow an intermediate product.
+recurrences; the two-parameter Hermite polynomial is assembled in
+log-magnitude + phase form, and the closed-form sums take their factorial
+weights as logs (``log_factorial_value``) and add their terms with
+``signed_log_sum``, so that modulation powers up to the supported caps never
+overflow an intermediate product.
 """
 
 from __future__ import annotations
@@ -28,24 +30,6 @@ class PolynomialEval:
 
     value: complex | float
     condition_hint: float
-
-
-@dataclass(frozen=True)
-class LogCoeff:
-    """A coefficient stored as natural-log magnitude and a sign in {-1, 0, +1}.
-
-    For arguments whose value fits a double exactly, ``log_magnitude`` is
-    nudged so that ``sign * exp(log_magnitude)`` lands as close to the exact
-    value as the exp/log grid permits (exactly, whenever a preimage exists).
-    """
-
-    log_magnitude: float
-    sign: int
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
 
 
 def _check_degree(n: int, cap: int, what: str) -> None:
@@ -147,10 +131,7 @@ def p_hermite(n: int, x):
     return p_hermite_eval(n, x).value
 
 
-_FACTORIALS = [math.factorial(k) for k in range(MAX_FACTORIAL_ARG + 1)]
-_LOG_FACTORIALS = [0.0] * (MAX_FACTORIAL_ARG + 1)
-for _k in range(2, MAX_FACTORIAL_ARG + 1):
-    _LOG_FACTORIALS[_k] = math.log(_FACTORIALS[_k])
+_LOG_FACTORIALS = [math.log(math.factorial(k)) for k in range(MAX_FACTORIAL_ARG + 1)]
 
 
 def log_factorial_value(n: int) -> float:
@@ -160,42 +141,6 @@ def log_factorial_value(n: int) -> float:
     if n <= MAX_FACTORIAL_ARG:
         return _LOG_FACTORIALS[n]
     return math.lgamma(n + 1)
-
-
-def _snap_log(target: float) -> float:
-    """Log of ``target`` nudged (up to a few ulp) so exp round-trips as
-    closely as the exp/log float grid allows."""
-    lm = math.log(target)
-    best, best_err = lm, abs(math.exp(lm) - target)
-    for direction in (math.inf, -math.inf):
-        cand = lm
-        for _ in range(4):
-            cand = math.nextafter(cand, direction)
-            err = abs(math.exp(cand) - target)
-            if err < best_err:
-                best, best_err = cand, err
-            if err == 0.0:
-                return cand
-    return best
-
-
-def log_factorial(n: int) -> LogCoeff:
-    if n < 0 or n > MAX_FACTORIAL_ARG:
-        raise ValueError(f"factorial argument must be in [0, {MAX_FACTORIAL_ARG}], got {n}")
-    if n <= 1:
-        return LogCoeff(0.0, 1)
-    return LogCoeff(_snap_log(float(_FACTORIALS[n])), 1)
-
-
-def log_binomial(n: int, k: int) -> LogCoeff:
-    if n < 0 or n > MAX_FACTORIAL_ARG:
-        raise ValueError(f"binomial row must be in [0, {MAX_FACTORIAL_ARG}], got {n}")
-    c = math.comb(n, k) if 0 <= k <= n else 0
-    if c == 0:
-        return LogCoeff(-math.inf, 0)
-    if c == 1:
-        return LogCoeff(0.0, 1)
-    return LogCoeff(_snap_log(float(c)), 1)
 
 
 def signed_log_sum(entries) -> complex:

@@ -2,16 +2,23 @@
 
 Four sweep families cover the figure regimes: ``a3`` (moment-matrix ratio vs
 r), ``squeeze`` (I1/I2/uncertainty product vs r), ``quasiprob`` (F(gamma, s)
-over a polar gamma grid) and ``fidelity``.  State-based families additionally
-emit one ``norm_sq`` row per state point, the machine-readable record of the
-closed-form-vs-oracle norm gap.  Row order is the lexicographic grid order and
-all floats are printed with 17 significant digits, so reruns are
-byte-identical.
+over a polar gamma grid) and ``fidelity``.  One table, ``_FAMILY_TABLE``,
+gives each family its quantities, its closed form (``paper``) and its
+oracle; squeeze has no closed form and runs its oracle under every engine.
+One row generator serves every family: it builds the state point's state
+once, then yields one row per quantity for each entry of the point (each
+gamma of the grid for quasiprob, a single entry otherwise), the quasiprob
+oracle taking the whole gamma grid in one call.  State-based families
+additionally emit one ``norm_sq`` row per state point, the machine-readable
+record of the closed-form-vs-oracle norm gap.  Row order is the
+lexicographic grid order and all floats are printed with 17 significant
+digits, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import os
@@ -23,7 +30,6 @@ from .fock import DIM_CAP, default_dim
 from .nonclassical import QuasiProbParams
 from .weyl import MAX_POWER, ModulationParams
 
-FAMILIES = ("a3", "squeeze", "quasiprob", "fidelity")
 ENGINES = ("paper", "oracle", "both")
 FORMATS = ("csv", "json")
 
@@ -32,12 +38,7 @@ _BASE_COLUMNS = (
     "quantity", "paper_value", "oracle_value", "rel_gap",
     "truncation_dim", "tail_mass", "error",
 )
-_QUASI_COLUMNS = (
-    "mu_re", "mu_im", "nu_re", "nu_im", "N", "r", "theta",
-    "s", "gamma_re", "gamma_im",
-    "quantity", "paper_value", "oracle_value", "rel_gap",
-    "truncation_dim", "tail_mass", "error",
-)
+_QUASI_COLUMNS = _BASE_COLUMNS[:7] + ("s", "gamma_re", "gamma_im") + _BASE_COLUMNS[7:]
 
 
 def columns_for(family: str) -> tuple[str, ...]:
@@ -58,20 +59,11 @@ class ZetaGrid:
         return [self.r_min + i * step for i in range(self.r_steps)]
 
 
-@dataclass(frozen=True)
-class GammaGrid:
-    r_min: float
-    r_max: float
-    r_steps: int
-    thetas: tuple[float, ...] = (0.0,)
+class GammaGrid(ZetaGrid):
+    """A polar gamma grid, with the radius rule of ``ZetaGrid``."""
 
     def points(self) -> list[complex]:
-        if self.r_steps == 1:
-            radii = [self.r_min]
-        else:
-            step = (self.r_max - self.r_min) / (self.r_steps - 1)
-            radii = [self.r_min + i * step for i in range(self.r_steps)]
-        return [r * cmath.exp(1j * th) for r in radii for th in self.thetas]
+        return [r * cmath.exp(1j * th) for r in self.radii() for th in self.thetas]
 
 
 @dataclass(frozen=True)
@@ -194,148 +186,113 @@ def _rel_gap(paper: float | None, oracle: float | None) -> float | None:
     return abs(paper - oracle) / max(abs(oracle), 1e-300)
 
 
-def _merge_error(*parts: str) -> str:
-    return "; ".join(p for p in parts if p)
-
-
 def _point_dim(cfg: SweepConfig, zeta: complex, n_pow: int) -> int:
     dim = cfg.dim_override if cfg.dim_override is not None else default_dim(zeta, n_pow)
     return min(dim, dim_cap())
 
 
-def _state_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float, theta: float):
+def _outcome(fn, *args):
+    """fn(*args), or the PmcsError/ValueError it raised."""
+    try:
+        return fn(*args)
+    except (PmcsError, ValueError) as exc:
+        return exc
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _one_entry(fn):
+    """A state family's oracle: fn(state), the outcome of its single entry."""
+    return lambda state, entries, s: [_outcome(fn, state)]
+
+
+def _squeeze_oracle(state: states.PMCState) -> tuple[float, float, float]:
+    i1, i2 = nonclassical.squeezing_identities(state)
+    return i1, i2, nonclassical.uncertainty_product(state)
+
+
+def _quasiprob_oracle(state: states.PMCState, gammas: list[complex], s: float) -> list:
+    return [v if isinstance(v, Exception) else (v,) for v in nonclassical.quasiprob_grid(state, gammas, s)]
+
+
+# family -> (quantities, paper fn or None, oracle fn).  A paper fn maps
+# (state, entry, s) to one value per quantity; an oracle fn maps (state,
+# entries, s) to one outcome per entry, those values or the exception that
+# refused them.  An entry is a gamma for quasiprob and None otherwise.  The
+# functions are looked up on their modules at call time.
+_FAMILY_TABLE = {
+    "a3": (
+        ("a3",),
+        lambda st, *_: (
+            nonclassical.a3(nonclassical.moments_paper(st.params, st.zeta, st.norm_sq_paper)).a3,
+        ),
+        _one_entry(lambda st: (nonclassical.a3(nonclassical.moments_oracle(st)).a3,)),
+    ),
+    "squeeze": (("I1", "I2", "uncertainty_product"), None, _one_entry(_squeeze_oracle)),
+    "quasiprob": (
+        ("quasiprob",),
+        lambda st, gamma, s: (
+            nonclassical.quasiprob_paper(st.params, st.zeta, QuasiProbParams(gamma, s), st.norm_sq_paper),
+        ),
+        _quasiprob_oracle,
+    ),
+    "fidelity": (
+        ("fidelity",),
+        lambda st, *_: (nonclassical.fidelity_paper(st.params, st.zeta, st.norm_sq_paper),),
+        _one_entry(lambda st: (nonclassical.fidelity_oracle(st),)),
+    ),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def _point_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float, theta: float):
+    """One state point's rows: its ``norm_sq`` row (state families), then
+    one row per quantity for each entry.  A failed state build gives every
+    one of those rows its error instead."""
+    quantities, paper_fn, oracle_fn = _FAMILY_TABLE[cfg.family]
     zeta = r * cmath.exp(1j * theta)
     dim = _point_dim(cfg, zeta, n_pow)
-    base = dict(mu=mu, nu=nu, N=n_pow, r=r, theta=theta, truncation_dim=dim)
+    quasi = cfg.family == "quasiprob"
+    s, entries = (cfg.quasi.s, cfg.quasi.gamma.points()) if quasi else (None, [None])
+    base = dict(mu=mu, nu=nu, N=n_pow, r=r, theta=theta, s=s, truncation_dim=dim)
 
-    try:
-        params = ModulationParams(mu, nu, n_pow)
-        state = states.build_state(params, zeta, dim)
-    except (PmcsError, ValueError) as exc:
-        msg = f"{type(exc).__name__}: {exc}"
-        for quantity in _quantities(cfg.family):
-            yield SweepRow(quantity=quantity, error=msg, **base)
-        return
-
-    base["tail_mass"] = state.tail_mass()
-    yield SweepRow(
-        quantity="norm_sq",
-        paper_value=state.norm_sq_paper,
-        oracle_value=state.norm_sq_oracle,
-        rel_gap=state.discrepancy,
-        **base,
-    )
-
-    want_paper = cfg.engine in ("paper", "both")
-    want_oracle = cfg.engine in ("oracle", "both")
-
-    if cfg.family == "a3":
-        paper = oracle = None
-        err_p = err_o = ""
-        if want_paper:
-            try:
-                moments = nonclassical.moments_paper(params, zeta, state.norm_sq_paper)
-                paper = nonclassical.a3(moments).a3
-            except (PmcsError, ValueError) as exc:
-                err_p = f"paper: {type(exc).__name__}: {exc}"
-        if want_oracle:
-            try:
-                oracle = nonclassical.a3(nonclassical.moments_oracle(state)).a3
-            except (PmcsError, ValueError) as exc:
-                err_o = f"oracle: {type(exc).__name__}: {exc}"
-        yield SweepRow(
-            quantity="a3", paper_value=paper, oracle_value=oracle,
-            rel_gap=_rel_gap(paper, oracle), error=_merge_error(err_p, err_o), **base,
-        )
-    elif cfg.family == "squeeze":
-        try:
-            i1, i2 = nonclassical.squeezing_identities(state)
-            product = nonclassical.uncertainty_product(state)
-        except (PmcsError, ValueError) as exc:
-            msg = f"oracle: {type(exc).__name__}: {exc}"
-            for quantity in ("I1", "I2", "uncertainty_product"):
-                yield SweepRow(quantity=quantity, error=msg, **base)
-            return
-        for quantity, value in (("I1", i1), ("I2", i2), ("uncertainty_product", product)):
-            yield SweepRow(quantity=quantity, oracle_value=value, **base)
-    elif cfg.family == "fidelity":
-        paper = oracle = None
-        err_p = err_o = ""
-        if want_paper:
-            try:
-                paper = nonclassical.fidelity_paper(params, zeta, state.norm_sq_paper)
-            except (PmcsError, ValueError) as exc:
-                err_p = f"paper: {type(exc).__name__}: {exc}"
-        if want_oracle:
-            oracle = nonclassical.fidelity_oracle(state)
-        yield SweepRow(
-            quantity="fidelity", paper_value=paper, oracle_value=oracle,
-            rel_gap=_rel_gap(paper, oracle), error=_merge_error(err_p, err_o), **base,
-        )
-
-
-def _quasi_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float, theta: float):
-    zeta = r * cmath.exp(1j * theta)
-    dim = _point_dim(cfg, zeta, n_pow)
-    spec = cfg.quasi
-    base = dict(mu=mu, nu=nu, N=n_pow, r=r, theta=theta, s=spec.s, truncation_dim=dim)
-
-    gammas = spec.gamma.points()
-    try:
-        params = ModulationParams(mu, nu, n_pow)
-        state = states.build_state(params, zeta, dim)
-    except (PmcsError, ValueError) as exc:
-        for gamma in gammas:
-            yield SweepRow(quantity="quasiprob", gamma=gamma, error=f"{type(exc).__name__}: {exc}", **base)
+    state = _outcome(lambda: states.build_state(ModulationParams(mu, nu, n_pow), zeta, dim))
+    if isinstance(state, Exception):
+        for gamma in entries:
+            for quantity in quantities if quasi else ("norm_sq",) + quantities:
+                yield SweepRow(quantity=quantity, gamma=gamma, error=_describe(state), **base)
         return
     base["tail_mass"] = state.tail_mass()
-
-    want_paper = cfg.engine in ("paper", "both")
-    # the oracle evaluates the point's whole gamma grid at once
-    oracle_grid = (
-        nonclassical.quasiprob_grid(state, gammas, spec.s)
-        if cfg.engine in ("oracle", "both") else [None] * len(gammas)
-    )
-    for gamma, result in zip(gammas, oracle_grid):
-        qp = QuasiProbParams(gamma=gamma, s=spec.s)
-        paper = oracle = None
-        err_p = err_o = ""
-        if want_paper:
-            try:
-                paper = nonclassical.quasiprob_paper(params, zeta, qp, state.norm_sq_paper)
-            except (PmcsError, ValueError) as exc:
-                err_p = f"paper: {type(exc).__name__}: {exc}"
-        if isinstance(result, Exception):
-            err_o = f"oracle: {type(result).__name__}: {result}"
-        else:
-            oracle = result
+    if not quasi:
         yield SweepRow(
-            quantity="quasiprob", gamma=gamma, paper_value=paper, oracle_value=oracle,
-            rel_gap=_rel_gap(paper, oracle), error=_merge_error(err_p, err_o), **base,
+            quantity="norm_sq", paper_value=state.norm_sq_paper, oracle_value=state.norm_sq_oracle,
+            rel_gap=state.discrepancy, **base,
         )
 
-
-def _quantities(family: str) -> tuple[str, ...]:
-    return {
-        "a3": ("norm_sq", "a3"),
-        "squeeze": ("norm_sq", "I1", "I2", "uncertainty_product"),
-        "fidelity": ("norm_sq", "fidelity"),
-        "quasiprob": ("quasiprob",),
-    }[family]
+    run_paper = paper_fn is not None and cfg.engine != "oracle"
+    run_oracle = paper_fn is None or cfg.engine != "paper"
+    papers = [_outcome(paper_fn, state, gamma, s) if run_paper else None for gamma in entries]
+    oracles = oracle_fn(state, entries, s) if run_oracle else [None] * len(entries)
+    blank = (None,) * len(quantities)
+    for gamma, paper, oracle in zip(entries, papers, oracles):
+        sides = (("paper", paper), ("oracle", oracle))
+        error = "; ".join(f"{side}: {_describe(out)}" for side, out in sides if isinstance(out, Exception))
+        paper_values = paper if isinstance(paper, tuple) else blank
+        oracle_values = oracle if isinstance(oracle, tuple) else blank
+        for quantity, p, o in zip(quantities, paper_values, oracle_values):
+            yield SweepRow(
+                quantity=quantity, gamma=gamma, paper_value=p, oracle_value=o,
+                rel_gap=_rel_gap(p, o), error=error, **base,
+            )
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """All rows of the sweep in deterministic (lexicographic grid) order."""
     cfg.validate()
-    point_rows = _quasi_rows if cfg.family == "quasiprob" else _state_rows
-    rows: list[SweepRow] = []
-    for mu in cfg.mu:
-        for nu in cfg.nu:
-            for n_pow in cfg.n_values:
-                for r in cfg.zeta.radii():
-                    for theta in cfg.zeta.thetas:
-                        rows.extend(point_rows(cfg, mu, nu, n_pow, r, theta))
-    return rows
+    grid = itertools.product(cfg.mu, cfg.nu, cfg.n_values, cfg.zeta.radii(), cfg.zeta.thetas)
+    return [row for point in grid for row in _point_rows(cfg, *point)]
 
 
 def _fmt(value) -> str:
@@ -435,9 +392,9 @@ def _parse_complex(value) -> complex:
     raise ConfigError(f"cannot parse complex value {value!r}")
 
 
-def _parse_zeta(block: dict) -> ZetaGrid:
+def _parse_zeta(block: dict, grid=ZetaGrid) -> ZetaGrid:
     try:
-        return ZetaGrid(
+        return grid(
             r_min=float(block["r_min"]),
             r_max=float(block["r_max"]),
             r_steps=int(block["r_steps"]),
@@ -449,18 +406,28 @@ def _parse_zeta(block: dict) -> ZetaGrid:
 
 def _parse_quasi(block: dict) -> QuasiSpec:
     try:
-        g = block["gamma"]
-        return QuasiSpec(
-            s=float(block["s"]),
-            gamma=GammaGrid(
-                r_min=float(g["r_min"]),
-                r_max=float(g["r_max"]),
-                r_steps=int(g["r_steps"]),
-                thetas=tuple(float(t) for t in g.get("thetas", [0.0])),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return QuasiSpec(s=float(block["s"]), gamma=_parse_zeta(block["gamma"], GammaGrid))
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"malformed quasi block {block!r}") from exc
+
+
+def _tuple_of(parse):
+    return lambda values: tuple(parse(v) for v in values)
+
+
+# config key -> (SweepConfig field, parser of the key's JSON value)
+_CONFIG_KEYS = {
+    "family": ("family", str),
+    "engine": ("engine", str),
+    "format": ("format", str),
+    "mu": ("mu", _tuple_of(_parse_complex)),
+    "nu": ("nu", _tuple_of(_parse_complex)),
+    "N": ("n_values", _tuple_of(int)),
+    "zeta": ("zeta", _parse_zeta),
+    "quasi": ("quasi", _parse_quasi),
+    "dim_override": ("dim_override", lambda v: None if v is None else int(v)),
+    "output_path": ("output_path", lambda v: v),
+}
 
 
 def load_config(path: str, base: SweepConfig | None = None, family: str | None = None) -> SweepConfig:
@@ -484,31 +451,8 @@ def load_config(path: str, base: SweepConfig | None = None, family: str | None =
             family=fam, mu=(0j,), nu=(1.0 + 0j,), n_values=(1,),
             zeta=ZetaGrid(0.5, 2.0, 4),
         )
-    updates: dict = {}
-    if "family" in doc:
-        updates["family"] = str(doc["family"])
-    if "engine" in doc:
-        updates["engine"] = str(doc["engine"])
-    if "format" in doc:
-        updates["format"] = str(doc["format"])
-    if "mu" in doc:
-        updates["mu"] = tuple(_parse_complex(v) for v in doc["mu"])
-    if "nu" in doc:
-        updates["nu"] = tuple(_parse_complex(v) for v in doc["nu"])
-    if "N" in doc:
-        updates["n_values"] = tuple(int(v) for v in doc["N"])
-    if "zeta" in doc:
-        updates["zeta"] = _parse_zeta(doc["zeta"])
-    if "quasi" in doc:
-        updates["quasi"] = _parse_quasi(doc["quasi"])
-    if "dim_override" in doc:
-        updates["dim_override"] = None if doc["dim_override"] is None else int(doc["dim_override"])
-    if "output_path" in doc:
-        updates["output_path"] = doc["output_path"]
-    unknown = set(doc) - {
-        "family", "engine", "format", "mu", "nu", "N", "zeta", "quasi",
-        "dim_override", "output_path",
-    }
+    updates = {field: parse(doc[key]) for key, (field, parse) in _CONFIG_KEYS.items() if key in doc}
+    unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = replace(base, **updates)

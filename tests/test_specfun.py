@@ -184,45 +184,6 @@ class TestTwoParamHermite:
             )
 
 
-class TestLogCoeffs:
-    def test_factorial_zero(self):
-        lc = specfun.log_factorial(0)
-        assert (lc.log_magnitude, lc.sign) == (0.0, 1)
-
-    def test_binomial_four_two(self):
-        assert specfun.log_binomial(4, 2).log_magnitude == pytest.approx(math.log(6), rel=1e-15)
-
-    def test_binomial_out_of_range_is_zero(self):
-        lc = specfun.log_binomial(5, 9)
-        assert lc.sign == 0 and lc.to_float() == 0.0
-
-    def test_factorial_twenty_value(self):
-        lc = specfun.log_factorial(20)
-        assert lc.log_magnitude == pytest.approx(math.log(2432902008176640000), abs=1e-12)
-
-    def test_round_trip_near_exact(self):
-        # exp cannot hit every double: its image near log(n!) is spaced about
-        # n! * ulp(log n!) apart, so an exact round trip only exists for a few
-        # n.  The snapped value is pinned to within one image step.
-        for n in range(21):
-            exact = float(math.factorial(n))
-            lc = specfun.log_factorial(n)
-            step = exact * math.ulp(max(1.0, lc.log_magnitude))
-            assert abs(lc.to_float() - exact) <= max(step, math.ulp(exact))
-        for n in (0, 1, 2, 3):
-            assert specfun.log_factorial(n).to_float() == float(math.factorial(n))
-
-    def test_monotone(self):
-        values = [specfun.log_factorial(n).log_magnitude for n in range(2, 129)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            specfun.log_factorial(129)
-        with pytest.raises(ValueError):
-            specfun.log_factorial(-1)
-
-
 class TestSignedLogSum:
     def test_empty(self):
         assert specfun.signed_log_sum([]) == 0j

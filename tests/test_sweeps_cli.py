@@ -91,6 +91,21 @@ class TestConfig:
             "oracle: ValueError: amplitudes must be finite",
         ]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gamma_step_gives_paper_error_rows(self):
+        # the closed form refuses the NaN/infinite gammas instead of
+        # returning NaN: each row names a paper error before the oracle one
+        cfg = SweepConfig(
+            family="quasiprob", mu=(0.001,), nu=(1.2,), n_values=(2,), engine="both",
+            zeta=ZetaGrid(1.0, 1.0, 1), quasi=QuasiSpec(-0.5, GammaGrid(-1e308, 1e308, 3)),
+        )
+        rows = sweeps.run_sweep(cfg)
+        assert len(rows) == 3
+        for row in rows:
+            assert row.paper_value is None and row.oracle_value is None
+            assert row.error.startswith("paper: ValueError: gamma must be finite")
+            assert "; oracle: ValueError: " in row.error
+
     def test_load_config_overrides(self, tmp_path):
         doc = {"N": [2], "engine": "oracle", "zeta": {"r_min": 1.0, "r_max": 1.0, "r_steps": 1}}
         path = tmp_path / "cfg.json"
@@ -243,6 +258,50 @@ class TestRows:
         assert "out.csv" in hint and "plot" in hint
 
 
+ONE_POINT = replace(TINY, n_values=(1,), zeta=ZetaGrid(1.0, 1.0, 1))
+FAMILY_POINTS = {
+    "a3": replace(ONE_POINT, family="a3"),
+    "squeeze": replace(ONE_POINT, family="squeeze"),
+    "fidelity": ONE_POINT,
+    "quasiprob": replace(
+        ONE_POINT, family="quasiprob", quasi=QuasiSpec(-0.5, GammaGrid(0.5, 1.0, 2, (0.0, 1.0)))
+    ),
+}
+QUANTITIES = {
+    "a3": ["norm_sq", "a3"],
+    "squeeze": ["norm_sq", "I1", "I2", "uncertainty_product"],
+    "fidelity": ["norm_sq", "fidelity"],
+    "quasiprob": ["quasiprob"] * 4,
+}
+
+
+class TestEngineFamilyMatrix:
+    @pytest.mark.parametrize("engine", sweeps.ENGINES)
+    @pytest.mark.parametrize("family", sorted(FAMILY_POINTS))
+    def test_value_columns_follow_engine(self, family, engine):
+        cfg = replace(FAMILY_POINTS[family], engine=engine)
+        rows = sweeps.run_sweep(cfg)
+        # norm_sq rows appear for the state families only
+        assert [row.quantity for row in rows] == QUANTITIES[family]
+        has_paper = family != "squeeze" and engine != "oracle"
+        has_oracle = family == "squeeze" or engine != "paper"
+        for row in rows:
+            assert not row.error
+            if row.quantity == "norm_sq":
+                assert row.paper_value is not None and row.oracle_value is not None
+                continue
+            assert (row.paper_value is not None) == has_paper
+            assert (row.oracle_value is not None) == has_oracle
+            assert (row.rel_gap is not None) == (has_paper and has_oracle)
+        if family == "squeeze":  # no closed form: the oracle runs under every engine
+            both = sweeps.run_sweep(replace(cfg, engine="both"))
+            assert [row.as_record(family) for row in rows] == [row.as_record(family) for row in both]
+        if family == "quasiprob":
+            assert [(row.s, row.gamma) for row in rows] == [(-0.5, g) for g in cfg.quasi.gamma.points()]
+        else:
+            assert all(row.s is None and row.gamma is None for row in rows)
+
+
 class TestPresetCoverage:
     def test_presets_exercise_every_public_operation(self, monkeypatch):
         called = set()
@@ -310,6 +369,17 @@ class TestCli:
         ])
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_exits_3_naming_the_overflow(self, capsys):
+        # |1e155 a|zeta=1>|^2 overflows while every amplitude stays finite
+        code = cli.main([
+            "state", "build", "--mu", "1e155", "--nu", "0", "--N", "1",
+            "--zeta-re", "1", "--zeta-im", "0",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: superposed power overflows the double range")
 
     def test_sweep_requires_preset_or_config(self, capsys):
         assert cli.main(["a3", "sweep"]) == 2
