@@ -9,7 +9,6 @@
     pmcs wavefn dump --n 3 --xmin -6 --xmax 6 --points 241
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence error.
-PMCS_MAX_DIM caps the truncation dimension of every sweep point.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import fock, states, sweeps, wavefunctions, weyl
+from . import states, sweeps, wavefunctions, weyl
 from .errors import ConfigError, ConvergenceError, DegenerateStateError
 
 
@@ -106,8 +105,7 @@ def _cmd_weyl_dump(args) -> int:
 def _cmd_state_build(args) -> int:
     params = weyl.ModulationParams(args.mu, args.nu, args.N)
     zeta = complex(args.zeta_re, args.zeta_im)
-    dim = args.dim if args.dim is not None else min(fock.default_dim(zeta, args.N), sweeps.dim_cap())
-    state = states.build_state(params, zeta, dim)
+    state = states.build_state(params, zeta, args.dim)
     doc = {
         "mu": [params.mu.real, params.mu.imag],
         "nu": [params.nu.real, params.nu.imag],

@@ -8,18 +8,16 @@ ladder, bookkeeping that only matters in the position-space layer).
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .specfun import log_factorial_value
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .weyl import ModulationParams
+from .weyl import ModulationParams
 
 DIM_CAP = 256
 TAIL_TOL = 1e-12
@@ -108,13 +106,6 @@ class FockOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class TruncationReport:
-    dimension: int
-    tail_mass: float
-    converged: bool = field(default=False)
-
-
 def _check_dim(dim: int, minimum: int = 2) -> None:
     if dim < minimum:
         raise ValueError(f"dimension {dim} below the minimum {minimum}")
@@ -140,23 +131,6 @@ def _ladder_matrix(dim: int) -> np.ndarray:
     return a
 
 
-def ladder_ops(dim: int) -> tuple[FockOperator, FockOperator]:
-    """Annihilation and creation matrices: <m|a|n> = sqrt(n) delta_{m,n-1}."""
-    _check_dim(dim)
-    a = _ladder_matrix(dim)
-    return FockOperator(a, label="a"), FockOperator(a.conj().T, label="a†")
-
-
-def number_operator(dim: int) -> FockOperator:
-    _check_dim(dim)
-    return FockOperator(np.diag(np.arange(dim, dtype=float)).astype(complex), label="n")
-
-
-def identity(dim: int) -> FockOperator:
-    _check_dim(dim)
-    return FockOperator(np.eye(dim, dtype=complex), label="I")
-
-
 def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
     """``coherent_state`` for each z, as rows: (amplitudes, tail masses,
     errors), errors[i] being the exception of row i or None.  Per-row scalars
@@ -165,8 +139,10 @@ def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
     """
     _check_dim(dim, minimum=4)
     zetas = [complex(z) for z in zetas]
+    errors: list = [None if cmath.isfinite(z) else ValueError(_NON_FINITE) for z in zetas]
     logs, halves, turns = [], [], []
-    for z in zetas:
+    for z, error in zip(zetas, errors):
+        z = z if error is None else 0j  # a refused z stays out of the array arithmetic
         r = abs(z)
         logs.append(math.log(r) if z else 0.0)
         halves.append(r * r / 2.0)
@@ -176,9 +152,10 @@ def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
     log_mag -= np.array(halves)[:, None]
     amp = np.exp(np.maximum(log_mag, -745.0)) * np.exp(np.array(turns)[:, None] * n)
     amp[log_mag < -745.0] = 0.0
-    errors: list = [None] * len(zetas)
     for i, z in enumerate(zetas):
-        if not z:
+        if errors[i] is not None:
+            amp[i] = 0.0
+        elif not z:
             amp[i] = 0.0
             amp[i, 0] = 1.0
         elif not amp[i].any():
@@ -187,7 +164,6 @@ def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
                 "its occupation lies above the truncation"
             )
     nsq = _norms_sq(amp)
-    _check_finite(amp, nsq, errors)
     amp, _ = normalize_rows(amp, nsq, errors)
     tails = _tail_fractions(np.abs(amp) ** 2)
     for i, tail in enumerate(tails):
@@ -197,17 +173,6 @@ def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
                 f"tail mass {tail:.3e} >= {TAIL_TOL:.0e}"
             )
     return amp, tails, errors
-
-
-def _check_finite(amps: np.ndarray, nsq: list[float], errors: list) -> None:
-    """FockVector's finiteness check per row (only a non-finite norm can hide
-    a non-finite amplitude); failed rows are zeroed, with norm 0."""
-    for i, norm_sq in enumerate(nsq):
-        if errors[i] is None and not math.isfinite(norm_sq) and not np.isfinite(amps[i]).all():
-            errors[i] = ValueError(_NON_FINITE)
-        if errors[i] is not None:
-            amps[i] = 0.0
-            nsq[i] = 0.0
 
 
 def normalize_rows(amps: np.ndarray, nsq: list[float], errors: list) -> tuple[np.ndarray, np.ndarray]:
@@ -221,20 +186,21 @@ def normalize_rows(amps: np.ndarray, nsq: list[float], errors: list) -> tuple[np
     return amps / norms, norms
 
 
-def coherent_state(zeta: complex, dim: int) -> tuple[FockVector, TruncationReport]:
-    """Truncated coherent vector exp(-|z|^2/2) sum_n z^n/sqrt(n!) |n>, renormalized.
+def coherent_state(zeta: complex, dim: int) -> tuple[FockVector, float]:
+    """Truncated coherent vector exp(-|z|^2/2) sum_n z^n/sqrt(n!) |n>,
+    renormalized, and the tail mass its top 10% of levels carry.
 
-    Raises ConvergenceError when the top 10% of levels carry >= TAIL_TOL mass.
-    A one-row call of ``coherent_rows``.
+    Raises ConvergenceError when that tail mass is >= TAIL_TOL.  A one-row
+    call of ``coherent_rows``.
     """
     amps, tails, (error,) = coherent_rows([zeta], dim)
     if error is not None:
         raise error
-    return FockVector(amps[0]), TruncationReport(dimension=dim, tail_mass=tails[0], converged=True)
+    return FockVector(amps[0]), tails[0]
 
 
 def superposed_power_rows(
-    params: "ModulationParams", amps: np.ndarray, shifts
+    params: ModulationParams, amps: np.ndarray, shifts
 ) -> tuple[np.ndarray, list[float], list]:
     """``apply_superposed_power`` on each row of ``amps`` (rows x dim), row i
     shifted by shifts[i]: (amplitudes, squared norms, errors), errors[i]
@@ -254,23 +220,25 @@ def superposed_power_rows(
     amp = amps[0] if rows == 1 else amps
     moving = [i for i, shift in enumerate(shifts) if shift]
     column = np.array([shifts[i] for i in moving], dtype=complex).reshape((-1,) + (1,) * (amp.ndim - 1))
-    for _ in range(params.N):
-        nxt = np.zeros(amp.shape, dtype=complex)
-        np.multiply(down, amp[_HIGH], out=nxt[_LOW])
-        nxt[_HIGH] += up * amp[_LOW]
-        if len(moving) == rows:
-            nxt += column * amp
-        elif moving:
-            nxt[moving] += column * amp[moving]
-        amp = nxt
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for _ in range(params.N):
+            nxt = np.zeros(amp.shape, dtype=complex)
+            np.multiply(down, amp[_HIGH], out=nxt[_LOW])
+            nxt[_HIGH] += up * amp[_LOW]
+            if len(moving) == rows:
+                nxt += column * amp
+            elif moving:
+                nxt[moving] += column * amp[moving]
+            amp = nxt
     amp = amp.reshape(rows, dim)
     nsq = _norms_sq(amp)
-    for i, norm_sq in enumerate(nsq):  # finite amplitudes, overflowing norm
-        if not math.isfinite(norm_sq) and np.isfinite(amp[i]).all():
+    for i, norm_sq in enumerate(nsq):  # the rows come in finite: a non-finite norm has overflowed
+        if not math.isfinite(norm_sq):
             errors[i] = ConvergenceError(
                 f"superposed power overflows the double range at dim {dim}: squared norm {norm_sq}"
             )
-    _check_finite(amp, nsq, errors)
+            amp[i] = 0.0
+            nsq[i] = 0.0
     tails = _tail_fractions(np.abs(amp) ** 2)
     for i, tail in enumerate(tails):
         if errors[i] is None and nsq[i] > 0.0 and tail >= TAIL_TOL:
@@ -281,7 +249,7 @@ def superposed_power_rows(
     return amp, nsq, errors
 
 
-def apply_superposed_power(params: "ModulationParams", vec: FockVector, shift: complex = 0) -> FockVector:
+def apply_superposed_power(params: ModulationParams, vec: FockVector, shift: complex = 0) -> FockVector:
     """(mu a + nu a† + shift)^N applied as N banded updates; unnormalized.
 
     Each update is the truncated mat-vec mu sqrt(n+1) c_{n+1} + nu sqrt(n)
@@ -335,17 +303,6 @@ def expectation(op: FockOperator, vec: FockVector) -> complex:
     if op.dim != vec.dim:
         raise ValueError("dimension mismatch")
     return complex(np.vdot(vec.amplitudes, op.matrix @ vec.amplitudes))
-
-
-def operator_exp_number(lam: complex, dim: int) -> FockOperator:
-    """Diagonal operator exp(-lam * n̂) = diag(exp(-lam n))."""
-    _check_dim(dim)
-    lam = complex(lam)
-    top = -lam.real * (dim - 1)
-    if top > math.log(np.finfo(float).max):
-        raise ValueError(f"exp(-lam n) overflows the double range at n={dim - 1} for lam={lam}")
-    diag = np.exp(-lam * np.arange(dim))
-    return FockOperator(np.diag(diag), label=f"exp(-{lam:.6g}·n)")
 
 
 def trace_rows(summands: np.ndarray, contexts, magnitudes: np.ndarray | None = None) -> tuple[np.ndarray, list]:

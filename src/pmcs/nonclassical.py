@@ -28,8 +28,8 @@ import numpy as np
 from . import fock
 from .errors import ConvergenceError, PmcsError
 from .specfun import laguerre_table, log_factorial_value
-from .states import PMCState, _diagonal_sum
-from .weyl import ModulationParams
+from .states import PMCState, _diagonal_sum, _laguerre_sum
+from .weyl import ModulationParams, expand_number_power
 
 
 class UndefinedRatioError(PmcsError, ArithmeticError):
@@ -110,50 +110,24 @@ def moments_oracle(state: PMCState) -> MomentSet:
     return MomentSet(m=tuple(m), mu=tuple(mu), source="oracle")
 
 
-def _paper_m_like(params: ModulationParams, zeta: complex, order_shift: int) -> float:
-    """Unnormalized diagonal sum with the (N-k-l+shift)! L_{N-k-l+shift} factor."""
-    r2 = abs(complex(zeta)) ** 2
-    log_r2 = math.log(r2) if r2 else -math.inf
-    lag = laguerre_table(params.N + order_shift, -r2)
-
-    def extra(k: int, l: int) -> tuple[float, float]:
-        power = k - l
-        if r2 == 0.0 and power > 0:
-            return -math.inf, 0.0
-        order = params.N - k - l + order_shift
-        return (
-            (power * log_r2 if power else 0.0)
-            + log_factorial_value(order)
-            + math.log(lag[order]),
-            1.0,
-        )
-
-    return _diagonal_sum(params, extra)
-
-
 def moments_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> MomentSet:
     """Verbatim closed-form moments, normalized by ``norm_sq`` (the value of
     ``states.paper_norm_sq(params, zeta)``).
 
-    m_j uses the L_{N-k-l+j} sum; mu_j additionally sums the ordering weights
-    (-1)^r (i-r)^j / (r! (i-r)!) over i = 0..j, r = 0..i.  Both inherit the
-    diagonal-only structure of the closed-form norm.  The i = 0 weight is
-    0^j = 0, so the four m-like sums (shifts 1..4) are the only lattice walks.
+    m_j is the Laguerre sum at order shift j, and mu_j = sum_i S(j, i) m_i
+    with the exact Stirling numbers of ``weyl.expand_number_power(j)``, the
+    normal-ordered form of (a†a)^j.  Both inherit the diagonal-only structure
+    of the closed-form norm.  The four m-like sums (shifts 1..4) are the only
+    lattice walks.
     """
-    m_like = {j: _paper_m_like(params, zeta, j) for j in (1, 2, 3, 4)}
+    r2 = abs(complex(zeta)) ** 2
+    m_like = {j: _laguerre_sum(params, r2, j) for j in (1, 2, 3, 4)}
     m = tuple(m_like[j] / norm_sq for j in (1, 2, 3, 4))
-    mu = []
-    for j in (1, 2, 3, 4):
-        total = 0.0
-        for i in range(j + 1):
-            weight = sum(
-                (-1.0) ** r * (i - r) ** j / (math.factorial(r) * math.factorial(i - r))
-                for r in range(i + 1)
-            )
-            if weight != 0.0:
-                total += weight * m_like[i]
-        mu.append(total / norm_sq)
-    return MomentSet(m=m, mu=tuple(mu), source="paper_formula")
+    mu = tuple(
+        sum(c.real * m_like[i] for (i, _), c in expand_number_power(j).terms.items()) / norm_sq
+        for j in (1, 2, 3, 4)
+    )
+    return MomentSet(m=m, mu=mu, source="paper_formula")
 
 
 def _det3(mat) -> float:

@@ -1,18 +1,20 @@
 """Stable evaluation of the special functions behind all closed-form expressions.
 
 Laguerre and physicists' Hermite polynomials go through three-term
-recurrences; the two-parameter Hermite polynomial is assembled in
-log-magnitude + phase form, and the closed-form sums take their factorial
-weights as logs (``log_factorial_value``) and add their terms with
-``signed_log_sum``, so that modulation powers up to the supported caps never
-overflow an intermediate product.
+recurrences, each written once: ``laguerre_table`` is the row L_0 .. L_n
+that the closed forms index, and ``laguerre_eval`` its last entry,
+elementwise on arrays.  Every evaluator returns the value itself.  The
+two-parameter Hermite polynomial is assembled in log-magnitude + phase form,
+and the closed-form sums take their factorial weights as logs
+(``log_factorial_value``) and add their terms with ``signed_log_sum``, so
+that modulation powers up to the supported caps never overflow an
+intermediate product.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,15 +23,6 @@ MAX_BIVARIATE_DEGREE = 32
 MAX_FACTORIAL_ARG = 128
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
-
-
-@dataclass(frozen=True)
-class PolynomialEval:
-    """Polynomial value plus the largest intermediate magnitude met while
-    forming it, a cheap loss-of-precision diagnostic."""
-
-    value: complex | float
-    condition_hint: float
 
 
 def _check_degree(n: int, cap: int, what: str) -> None:
@@ -45,30 +38,13 @@ def _as_value(arr: np.ndarray):
     return arr.item() if arr.ndim == 0 else arr
 
 
-def laguerre_eval(n: int, x) -> PolynomialEval:
-    """Laguerre polynomial L_n(x) by the three-term recurrence
-    (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}."""
-    _check_degree(n, MAX_POLY_DEGREE, "Laguerre")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return PolynomialEval(_as_value(prev), 1.0)
-    cur = 1.0 - x
-    hint = max(1.0, float(np.max(np.abs(cur))))
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-        hint = max(hint, float(np.max(np.abs(cur))))
-    return PolynomialEval(_as_value(cur), hint)
+def laguerre_table(n: int, x) -> list:
+    """[L_0(x), ..., L_n(x)] by the three-term recurrence
+    (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}.
 
-
-def laguerre_table(n: int, x: float) -> list[float]:
-    """[L_0(x), ..., L_n(x)] at one real x with plain floats.
-
-    Same recurrence and operation order as ``laguerre_eval``, so entry k
-    equals ``laguerre_eval(k, x).value`` bit for bit; no condition hint.
+    A float x gives plain floats; an array x gives arrays from L_1 on.
     """
     _check_degree(n, MAX_POLY_DEGREE, "Laguerre")
-    x = float(x)
     row = [1.0]
     if n == 0:
         return row
@@ -80,30 +56,27 @@ def laguerre_table(n: int, x: float) -> list[float]:
     return row
 
 
-def laguerre(n: int, x):
-    return laguerre_eval(n, x).value
+def laguerre_eval(n: int, x):
+    """Laguerre polynomial L_n(x), elementwise for an array x: entry n of
+    ``laguerre_table``."""
+    x = np.asarray(x, dtype=float)
+    return _as_value(laguerre_table(n, x)[n] * np.ones_like(x))
 
 
-def hermite_eval(n: int, x) -> PolynomialEval:
+def hermite_eval(n: int, x):
     """Physicists' Hermite polynomial H_n(x) via H_{k+1} = 2x H_k - 2k H_{k-1}."""
     _check_degree(n, MAX_POLY_DEGREE, "Hermite")
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if n == 0:
-        return PolynomialEval(_as_value(prev), 1.0)
+        return _as_value(prev)
     cur = 2.0 * x
-    hint = max(1.0, float(np.max(np.abs(cur))))
     for k in range(1, n):
         prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-        hint = max(hint, float(np.max(np.abs(cur))))
-    return PolynomialEval(_as_value(cur), hint)
+    return _as_value(cur)
 
 
-def hermite(n: int, x):
-    return hermite_eval(n, x).value
-
-
-def p_hermite_eval(n: int, x) -> PolynomialEval:
+def p_hermite_eval(n: int, x):
     """Modified Hermite combination H_n + 4n H_{n-2} + 4n(n-3) H_{n-4},
     defined for n = 0 and n >= 3 (the quantum numbers the oscillator admits).
 
@@ -115,20 +88,11 @@ def p_hermite_eval(n: int, x) -> PolynomialEval:
     _check_degree(n, MAX_POLY_DEGREE, "modified Hermite")
     x = np.asarray(x, dtype=float)
     if n == 0:
-        return PolynomialEval(_as_value(np.ones_like(x)), 1.0)
-    head = hermite_eval(n, x)
-    mid = hermite_eval(n - 2, x)
-    out = np.asarray(head.value) + 4.0 * n * np.asarray(mid.value)
-    hint = max(head.condition_hint, 4.0 * n * mid.condition_hint)
+        return _as_value(np.ones_like(x))
+    out = np.asarray(hermite_eval(n, x)) + 4.0 * n * np.asarray(hermite_eval(n - 2, x))
     if n > 3:
-        low = hermite_eval(n - 4, x)
-        out = out + 4.0 * n * (n - 3) * np.asarray(low.value)
-        hint = max(hint, 4.0 * n * (n - 3) * low.condition_hint)
-    return PolynomialEval(_as_value(out), hint)
-
-
-def p_hermite(n: int, x):
-    return p_hermite_eval(n, x).value
+        out = out + 4.0 * n * (n - 3) * np.asarray(hermite_eval(n - 4, x))
+    return _as_value(out)
 
 
 _LOG_FACTORIALS = [math.log(math.factorial(k)) for k in range(MAX_FACTORIAL_ARG + 1)]
@@ -164,7 +128,7 @@ def signed_log_sum(entries) -> complex:
     return math.exp(top) * acc
 
 
-def two_param_hermite_eval(m: int, n: int, z: complex) -> PolynomialEval:
+def two_param_hermite(m: int, n: int, z: complex) -> complex:
     """Bivariate Hermite polynomial at the conjugate-pair argument (z, -z*):
 
         m! n! sum_k (-1/2)^k (-z*)^(m-k) z^(n-k) / (k! (m-k)! (n-k)!)
@@ -182,7 +146,6 @@ def two_param_hermite_eval(m: int, n: int, z: complex) -> PolynomialEval:
     lbase = log_factorial_value(m) + log_factorial_value(n)
 
     entries = []
-    hint = 0.0
     for k in range(min(m, n) + 1):
         if m - k > 0 and w == 0:
             continue
@@ -201,9 +164,4 @@ def two_param_hermite_eval(m: int, n: int, z: complex) -> PolynomialEval:
             raise ValueError("term magnitude exceeds the double range")
         phase = (-1.0) ** k * cmath.exp(1j * ((m - k) * arg_w + (n - k) * arg_z))
         entries.append((lm, phase))
-        hint = max(hint, math.exp(min(lm, _LOG_DBL_MAX)))
-    return PolynomialEval(signed_log_sum(entries), hint)
-
-
-def two_param_hermite(m: int, n: int, z: complex) -> complex:
-    return complex(two_param_hermite_eval(m, n, z).value)
+    return complex(signed_log_sum(entries))

@@ -10,8 +10,10 @@ norms genuinely differ, and that gap is measured rather than hidden.
 Every closed form is one walk of the (k, l) lattice in ``_diagonal_sum``.  A
 closed-form call evaluates its Laguerre polynomials once, as a single row
 ``L_0 .. L_n`` at the call's argument (``specfun.laguerre_table``), and its
-per-term factor indexes into that row.  ``build_state`` computes both norms,
-so a sweep point builds its state once and reads the norm comparison from it.
+per-term factor indexes into that row.  The norm and the closed-form moments
+share one such sum, ``_laguerre_sum``, at Laguerre order shifts 0 and 1..4.
+``build_state`` computes both norms, so a sweep point builds its state once
+and reads the norm comparison from it.
 """
 
 from __future__ import annotations
@@ -96,26 +98,23 @@ def _diagonal_sum(params: ModulationParams, extra) -> float:
     return signed_log_sum(entries).real
 
 
-def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:
-    """Closed-form squared norm of (mu a + nu a†)^N |zeta>:
+def _laguerre_sum(params: ModulationParams, r2: float, shift: int) -> float:
+    """The lattice sum with the (N-k-l+shift)! L_{N-k-l+shift}(-r2) factor:
 
-        (N!)^2 sum_k |mu|^(2k) |nu|^(2(N-k)) sum_l (1/4)^l |zeta|^(2(k-l))
-            (N-k-l)! L_{N-k-l}(-|zeta|^2) / (l! (k-l)! (N-k-l)!)^2
+        (N!)^2 sum_k |mu|^(2k) |nu|^(2(N-k)) sum_l (1/4)^l r2^(k-l)
+            (N-k-l+shift)! L_{N-k-l+shift}(-r2) / (l! (k-l)! (N-k-l)!)^2
 
-    Reduces to 1 at N = 0, to N! L_N(-|zeta|^2) for mu = 0, nu = 1 and to
-    |zeta|^(2N) for mu = 1, nu = 0.
+    Shift 0 is the closed-form squared norm, shift j the unnormalized m_j.
     """
-    if params.N == 0:
-        return 1.0
-    r2 = abs(complex(zeta)) ** 2
     log_r2 = math.log(r2) if r2 else -math.inf
-    lag = laguerre_table(params.N, -r2)  # positive for r2 >= 0
+    top = params.N + shift
+    lag = laguerre_table(top, -r2)  # positive for r2 >= 0
 
     def extra(k: int, l: int) -> tuple[float, float]:
         power = k - l
         if r2 == 0.0 and power > 0:
             return -math.inf, 0.0
-        order = params.N - k - l
+        order = top - k - l
         return (
             (power * log_r2 if power else 0.0)
             + log_factorial_value(order)
@@ -124,6 +123,18 @@ def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:
         )
 
     return _diagonal_sum(params, extra)
+
+
+def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:
+    """Closed-form squared norm of (mu a + nu a†)^N |zeta>, the shift-0
+    ``_laguerre_sum`` at r2 = |zeta|^2.
+
+    Reduces to 1 at N = 0, to N! L_N(-|zeta|^2) for mu = 0, nu = 1 and to
+    |zeta|^(2N) for mu = 1, nu = 0.
+    """
+    if params.N == 0:
+        return 1.0
+    return _laguerre_sum(params, abs(complex(zeta)) ** 2, 0)
 
 
 def build_state(params: ModulationParams, zeta: complex, dim: int | None = None) -> PMCState:

@@ -21,7 +21,6 @@ import cmath
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 from . import nonclassical, states
@@ -166,29 +165,10 @@ class SweepRow:
         return rec
 
 
-def dim_cap() -> int:
-    """Truncation-dimension cap, lowered by the PMCS_MAX_DIM environment variable."""
-    raw = os.environ.get("PMCS_MAX_DIM")
-    if raw is None:
-        return DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PMCS_MAX_DIM must be an integer, got {raw!r}") from exc
-    if cap < 4:
-        raise ConfigError(f"PMCS_MAX_DIM must be >= 4, got {cap}")
-    return min(cap, DIM_CAP)
-
-
 def _rel_gap(paper: float | None, oracle: float | None) -> float | None:
     if paper is None or oracle is None:
         return None
     return abs(paper - oracle) / max(abs(oracle), 1e-300)
-
-
-def _point_dim(cfg: SweepConfig, zeta: complex, n_pow: int) -> int:
-    dim = cfg.dim_override if cfg.dim_override is not None else default_dim(zeta, n_pow)
-    return min(dim, dim_cap())
 
 
 def _outcome(fn, *args):
@@ -253,7 +233,7 @@ def _point_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
     one of those rows its error instead."""
     quantities, paper_fn, oracle_fn = _FAMILY_TABLE[cfg.family]
     zeta = r * cmath.exp(1j * theta)
-    dim = _point_dim(cfg, zeta, n_pow)
+    dim = cfg.dim_override if cfg.dim_override is not None else default_dim(zeta, n_pow)
     quasi = cfg.family == "quasiprob"
     s, entries = (cfg.quasi.s, cfg.quasi.gamma.points()) if quasi else (None, [None])
     base = dict(mu=mu, nu=nu, N=n_pow, r=r, theta=theta, s=s, truncation_dim=dim)

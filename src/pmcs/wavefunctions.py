@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
-from .specfun import p_hermite
+from .specfun import p_hermite_eval
 
 
 def _check_level(n: int) -> None:
@@ -45,22 +45,11 @@ def norm_const(n: int) -> float:
     return math.sqrt((n - 1) * (n - 2) / (2**n * math.factorial(n) * math.sqrt(math.pi)))
 
 
-@dataclass(frozen=True)
-class EigenState:
-    n_physical: int
-    energy: float
-    norm_const: float
-
-    @classmethod
-    def for_level(cls, n: int) -> "EigenState":
-        return cls(n_physical=n, energy=energy(n), norm_const=norm_const(n))
-
-
 def eigenfunction(n: int, x):
     """psi_n(x) = N_n P_n(x) exp(-x^2/2)/(1 + 2x^2)."""
     _check_level(n)
     x = np.asarray(x, dtype=float)
-    out = norm_const(n) * np.asarray(p_hermite(n, x)) * np.exp(-(x**2) / 2.0) / (1.0 + 2.0 * x**2)
+    out = norm_const(n) * np.asarray(p_hermite_eval(n, x)) * np.exp(-(x**2) / 2.0) / (1.0 + 2.0 * x**2)
     return out.item() if out.ndim == 0 else out
 
 

@@ -1,9 +1,11 @@
 """Ordering engine: normal-ordered series for (mu a + nu a†)^N, (a†a)^j and
-exp(-lam a†a), plus dense-matrix reconstruction for oracle comparison.
+exp(-lam a†a).
 
 Because mu a + nu a† commutes with itself, the symmetric-ordered expansion of
-its N-th power is the operator power itself; rebuilding the series as a matrix
-must therefore reproduce the dense matrix power exactly (up to rounding).
+its N-th power is the operator power itself, so the series rebuilt as a
+truncated matrix reproduces the dense matrix power up to rounding (the tests
+hold it to that).  The closed-form moments take their Stirling weights
+S(j, i) from ``expand_number_power``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from . import fock
 from .specfun import log_factorial_value, signed_log_sum
 
 MAX_POWER = 32
@@ -53,9 +52,6 @@ class NormalOrderedSeries:
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def max_degree(self) -> int:
-        return max((m + n for m, n in self.terms), default=0)
 
     def symbol(self, z: complex) -> complex:
         """The normal-ordered symbol sum c_{m,n} (z*)^m z^n."""
@@ -110,22 +106,15 @@ def expand_superposed_power(params: ModulationParams) -> NormalOrderedSeries:
 
 
 @lru_cache(maxsize=None)
-def _stirling2_row(j: int) -> tuple[int, ...]:
-    """Stirling numbers of the second kind S(j, i) for i = 0..j, exact."""
-    row = [1]
-    for level in range(1, j + 1):
-        prev = row
-        row = [0] * (level + 1)
-        for i in range(1, level + 1):
-            row[i] = i * (prev[i] if i < level else 0) + prev[i - 1]
-    return tuple(row)
-
-
 def expand_number_power(j: int) -> NormalOrderedSeries:
-    """(a†a)^j as the normal-ordered series sum_i S(j, i) a†^i a^i."""
+    """(a†a)^j as the normal-ordered series sum_i S(j, i) a†^i a^i, the
+    Stirling numbers of the second kind exact from S(l, i) = i S(l-1, i) +
+    S(l-1, i-1)."""
     if not 1 <= j <= 8:
         raise ValueError(f"number power must be in [1, 8], got {j}")
-    row = _stirling2_row(j)
+    row = [1]
+    for level in range(1, j + 1):
+        row = [0] + [i * (row[i] if i < level else 0) + row[i - 1] for i in range(1, level + 1)]
     return NormalOrderedSeries({(i, i): complex(row[i]) for i in range(1, j + 1)})
 
 
@@ -157,45 +146,6 @@ def exp_number_coherent_expectation(lam: complex, alpha: complex) -> complex:
     if abs(denom) < 1e-12:
         raise ValueError("smoothing denominator vanished")
     return (2.0 * pref / denom) * cmath.exp(2.0 * coeff * abs(alpha) ** 2 / denom)
-
-
-def _falling(a: int, b: int) -> int:
-    return math.perm(a, b)
-
-
-def _ladder_amplitude(level: int, n_low: int, m_up: int) -> float:
-    """sqrt(level!/(level-n)!) * sqrt((level-n+m)!/(level-n)!) for the monomial
-    a†^m a^n mapping |level> to |level - n + m>; exact for perfect squares."""
-    base = level - n_low
-    p = _falling(level, n_low) * _falling(base + m_up, m_up)
-    r = math.isqrt(p)
-    if r * r == p:
-        return float(r)
-    if p.bit_length() < 1024:
-        return math.sqrt(p)
-    return math.exp(
-        0.5
-        * (
-            log_factorial_value(level)
-            + log_factorial_value(base + m_up)
-            - 2.0 * log_factorial_value(base)
-        )
-    )
-
-
-def series_to_matrix(series: NormalOrderedSeries, dim: int) -> fock.FockOperator:
-    """Dense matrix of sum c_{m,n} (a†)^m (a)^n on the truncated ladder."""
-    max_deg = series.max_degree()
-    if 2 * max_deg > dim:
-        raise ValueError(f"series degree {max_deg} needs dim >= {2 * max_deg}, got {dim}")
-    mat = np.zeros((dim, dim), dtype=complex)
-    for (m, n), coeff in sorted(series.terms.items()):
-        for level in range(n, dim):
-            out = level - n + m
-            if out >= dim:
-                continue
-            mat[out, level] += coeff * _ladder_amplitude(level, n, m)
-    return fock.FockOperator(mat, label="series")
 
 
 def series_as_json_dict(params: ModulationParams) -> dict:

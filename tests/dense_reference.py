@@ -1,0 +1,76 @@
+"""Dense d x d references for the tests: ladder, number, identity and
+exp(-lam n̂) matrices, and a normal-ordered series rebuilt as a matrix.
+
+The program works with banded contractions and never forms these; the tests
+hold its results against them.
+"""
+
+import math
+
+import numpy as np
+
+from pmcs import fock
+from pmcs.specfun import log_factorial_value
+
+
+def ladder_ops(dim: int) -> tuple[fock.FockOperator, fock.FockOperator]:
+    """Annihilation and creation matrices: <m|a|n> = sqrt(n) delta_{m,n-1}."""
+    fock._check_dim(dim)
+    a = fock._ladder_matrix(dim)
+    return fock.FockOperator(a, label="a"), fock.FockOperator(a.conj().T, label="a†")
+
+
+def number_operator(dim: int) -> fock.FockOperator:
+    fock._check_dim(dim)
+    return fock.FockOperator(np.diag(np.arange(dim, dtype=float)).astype(complex), label="n")
+
+
+def identity(dim: int) -> fock.FockOperator:
+    fock._check_dim(dim)
+    return fock.FockOperator(np.eye(dim, dtype=complex), label="I")
+
+
+def operator_exp_number(lam: complex, dim: int) -> fock.FockOperator:
+    """Diagonal operator exp(-lam * n̂) = diag(exp(-lam n))."""
+    fock._check_dim(dim)
+    lam = complex(lam)
+    top = -lam.real * (dim - 1)
+    if top > math.log(np.finfo(float).max):
+        raise ValueError(f"exp(-lam n) overflows the double range at n={dim - 1} for lam={lam}")
+    diag = np.exp(-lam * np.arange(dim))
+    return fock.FockOperator(np.diag(diag), label=f"exp(-{lam:.6g}·n)")
+
+
+def _ladder_amplitude(level: int, n_low: int, m_up: int) -> float:
+    """sqrt(level!/(level-n)!) * sqrt((level-n+m)!/(level-n)!) for the monomial
+    a†^m a^n mapping |level> to |level - n + m>; exact for perfect squares."""
+    base = level - n_low
+    p = math.perm(level, n_low) * math.perm(base + m_up, m_up)
+    r = math.isqrt(p)
+    if r * r == p:
+        return float(r)
+    if p.bit_length() < 1024:
+        return math.sqrt(p)
+    return math.exp(
+        0.5
+        * (
+            log_factorial_value(level)
+            + log_factorial_value(base + m_up)
+            - 2.0 * log_factorial_value(base)
+        )
+    )
+
+
+def series_to_matrix(series, dim: int) -> fock.FockOperator:
+    """Dense matrix of sum c_{m,n} (a†)^m (a)^n on the truncated ladder."""
+    max_deg = max((m + n for m, n in series.terms), default=0)
+    if 2 * max_deg > dim:
+        raise ValueError(f"series degree {max_deg} needs dim >= {2 * max_deg}, got {dim}")
+    mat = np.zeros((dim, dim), dtype=complex)
+    for (m, n), coeff in sorted(series.terms.items()):
+        for level in range(n, dim):
+            out = level - n + m
+            if out >= dim:
+                continue
+            mat[out, level] += coeff * _ladder_amplitude(level, n, m)
+    return fock.FockOperator(mat, label="series")

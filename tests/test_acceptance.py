@@ -14,10 +14,11 @@ import time
 import numpy as np
 import pytest
 
+import dense_reference
 from pmcs import fock, nonclassical as nc, states, sweeps, wavefunctions as wf, weyl
 from pmcs.errors import ConvergenceError
 from pmcs.nonclassical import QuasiProbParams
-from pmcs.specfun import laguerre
+from pmcs.specfun import laguerre_eval
 from pmcs.weyl import ModulationParams
 
 R_GRID = [0.25 * k for k in range(1, 13)]  # 0.25, 0.5, ..., 3.0
@@ -33,12 +34,12 @@ def test_criterion_01_weyl_expansion_exactness():
     dim, half = 64, 32
     started = time.monotonic()
     worst = 0.0
-    a_op, ad_op = fock.ladder_ops(dim)
+    a_op, ad_op = dense_reference.ladder_ops(dim)
     for n_pow in range(9):
         for mu in mus:
             for nu in nus:
                 series = weyl.expand_superposed_power(ModulationParams(mu, nu, n_pow))
-                rebuilt = weyl.series_to_matrix(series, dim).matrix[:half, :half]
+                rebuilt = dense_reference.series_to_matrix(series, dim).matrix[:half, :half]
                 ref = np.linalg.matrix_power(mu * a_op.matrix + nu * ad_op.matrix, n_pow)[:half, :half]
                 # entries reach ~1e8 at N = 8, where double precision caps the
                 # absolute agreement near 1e-8; 1e-10 is enforced per entry
@@ -56,11 +57,11 @@ def test_criterion_02_ordering_identities():
     dim = 48
     exact = True
     for j in range(1, 9):
-        diag = np.diag(weyl.series_to_matrix(weyl.expand_number_power(j), dim).matrix).real
+        diag = np.diag(dense_reference.series_to_matrix(weyl.expand_number_power(j), dim).matrix).real
         exact = exact and np.array_equal(diag[:21], np.arange(21, dtype=float) ** j)
     worst = 0.0
     for lam in (math.log(2.0), 1 + 0.3j):
-        op = fock.operator_exp_number(lam, 60)
+        op = dense_reference.operator_exp_number(lam, 60)
         for alpha in (0.5, 1.3 - 0.4j, 1.8j):
             vec, _ = fock.coherent_state(alpha, 60)
             ref = fock.expectation(op, vec)
@@ -80,7 +81,7 @@ def test_criterion_03_normalization_reductions():
         for r in (0.5, 1.0, 2.0):
             added = ModulationParams(0, 1, n_pow)
             got = states.paper_norm_sq(added, r)
-            ref = math.factorial(n_pow) * laguerre(n_pow, -(r**2))
+            ref = math.factorial(n_pow) * laguerre_eval(n_pow, -(r**2))
             worst_special = max(worst_special, abs(got - ref) / ref)
             cmp_ = states.compare_norms(added, r)
             worst_oracle = max(worst_oracle, cmp_.rel_gap)

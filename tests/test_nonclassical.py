@@ -101,6 +101,18 @@ class TestMomentsPaper:
         nc.moments_paper(params, 0.7, states.paper_norm_sq(params, 0.7))
         assert len(walks) == 5
 
+    @pytest.mark.parametrize(
+        "m_like,mu",
+        [({1: 0.0, 2: 0.0, 3: 0.0, 4: 0.7}, (0.0, 0.0, 0.0, 0.7)), ({1: 1.0, 2: 2.0, 3: 4.0, 4: 8.0}, (1.0, 3.0, 11.0, 47.0))],
+        ids=["shift-4-only", "powers-of-two"],
+    )
+    def test_exact_stirling_weights(self, monkeypatch, m_like, mu):
+        # mu_j = sum_i S(j, i) m_i with integer S(j, i): exact where the m_i are
+        monkeypatch.setattr(nc, "_laguerre_sum", lambda params, r2, shift: m_like[shift])
+        got = nc.moments_paper(ModulationParams(1 / 3, 2 / 3, 2), 0.7, 1.0)
+        assert got.m == tuple(m_like[j] for j in (1, 2, 3, 4))
+        assert got.mu == mu
+
 
 def exact_laguerre(n, x):
     """L_n(x) = sum_i C(n, i) (-x)^i / i! in exact rationals."""

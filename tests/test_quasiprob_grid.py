@@ -89,7 +89,6 @@ class TestBatchInvariance:
         (value,) = nc.quasiprob_grid(state, [gamma], -1.0)
         assert outcome(value) == (ConvergenceError, str(info.value))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_gamma_without_a_dimension_refuses_alone(self):
         # a NaN gamma (from an overflowing gamma-grid step) has no d_gamma;
         # its entry is that ValueError and the rest of the grid still runs

@@ -77,7 +77,6 @@ class TestConfig:
             assert row.error.startswith("ConvergenceError: ")
             assert "underflows at every level" in row.error
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_gamma_step_gives_error_rows(self):
         # r_max - r_min overflows: the step is inf and the gammas NaN or
         # infinite; each becomes an oracle error row, the sweep goes on
@@ -91,7 +90,6 @@ class TestConfig:
             "oracle: ValueError: amplitudes must be finite",
         ]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_gamma_step_gives_paper_error_rows(self):
         # the closed form refuses the NaN/infinite gammas instead of
         # returning NaN: each row names a paper error before the oracle one
@@ -134,18 +132,6 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             sweeps.load_config(str(path))
-
-    def test_dim_cap_env(self, monkeypatch):
-        monkeypatch.setenv("PMCS_MAX_DIM", "64")
-        assert sweeps.dim_cap() == 64
-        monkeypatch.setenv("PMCS_MAX_DIM", "bogus")
-        with pytest.raises(ConfigError):
-            sweeps.dim_cap()
-        monkeypatch.setenv("PMCS_MAX_DIM", "2")
-        with pytest.raises(ConfigError):
-            sweeps.dim_cap()
-        monkeypatch.delenv("PMCS_MAX_DIM")
-        assert sweeps.dim_cap() == 256
 
 
 class TestRows:
@@ -371,6 +357,17 @@ class TestCli:
         assert "numerical error" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_amplitudes_exit_3_naming_the_overflow(self, capsys):
+        # (1e200 a)^2 |zeta=1> leaves the double range in the amplitudes themselves
+        code = cli.main([
+            "state", "build", "--mu", "1e200", "--nu", "0", "--N", "2",
+            "--zeta-re", "1", "--zeta-im", "0",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: superposed power overflows the double range")
+
     def test_overflowing_norm_exits_3_naming_the_overflow(self, capsys):
         # |1e155 a|zeta=1>|^2 overflows while every amplitude stays finite
         code = cli.main([
@@ -433,14 +430,3 @@ class TestCli:
 
     def test_wavefn_invalid_level_exit_code(self, capsys):
         assert cli.main(["wavefn", "dump", "--n", "2", "--xmin", "-1", "--xmax", "1", "--points", "3"]) == 2
-
-    def test_max_dim_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PMCS_MAX_DIM", "32")
-        out = tmp_path / "fig4.csv"
-        assert cli.main(["fidelity", "sweep", "--preset", "fig4", "--out", str(out)]) == 0
-        dims = {
-            int(line.split(",")[11])
-            for line in out.read_text().splitlines()[1:]
-            if line.split(",")[11]
-        }
-        assert max(dims) <= 32

@@ -50,11 +50,10 @@ class TestEigenfunctions:
         assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, np.max(np.abs(right)))
 
     def test_eigenstate_record(self):
-        st = wf.EigenState.for_level(4)
-        assert st.energy == 2.5
-        assert st.norm_const == pytest.approx(math.sqrt(6 / (16 * 24 * math.sqrt(math.pi))), rel=1e-14)
+        assert wf.energy(4) == 2.5
+        assert wf.norm_const(4) == pytest.approx(math.sqrt(6 / (16 * 24 * math.sqrt(math.pi))), rel=1e-14)
         with pytest.raises(ValueError):
-            wf.EigenState.for_level(2)
+            wf.norm_const(2)
 
     @pytest.mark.parametrize("n", VALID_LEVELS)
     def test_linear_spectrum(self, n):
