@@ -63,17 +63,12 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--dim", type=int)
     build.add_argument("--out")
 
-    family_specs = (
-        ("a3", "sweep", ("fig1",)),
-        ("squeeze", "sweep", ("fig2",)),
-        ("quasiprob", "grid", ("fig3a", "fig3b")),
-        ("fidelity", "sweep", ("fig4",)),
-    )
-    for family, verb, presets in family_specs:
+    preset_families = {name: sweeps.preset_config(name).family for name in sweeps.PRESET_NAMES}
+    for family in sweeps.FAMILIES:
         cmd = sub.add_parser(family, help=f"{family} sweep data")
         fam_sub = cmd.add_subparsers(dest="subcommand", required=True)
-        run = fam_sub.add_parser(verb, help=f"run a {family} sweep")
-        _add_sweep_flags(run, presets)
+        run = fam_sub.add_parser("grid" if family == "quasiprob" else "sweep", help=f"run a {family} sweep")
+        _add_sweep_flags(run, tuple(name for name, fam in preset_families.items() if fam == family))
         run.set_defaults(family=family)
 
     wavefn_cmd = sub.add_parser("wavefn", help="position-space eigenfunctions")
@@ -176,9 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "wavefn":
             return _cmd_wavefn_dump(args)
         return _cmd_sweep(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, DegenerateStateError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -113,9 +113,19 @@ def _check_dim(dim: int, minimum: int = 2) -> None:
         raise ValueError(f"dimension {dim} exceeds the dense cap {DIM_CAP}")
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where the modulus of a finite z leaves the double range
+    (abs raises OverflowError there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def default_dim(zeta: complex, n_power: int = 0) -> int:
     """Poisson-tail bound for the coherent occupation plus creation headroom."""
-    mean = abs(zeta) * abs(zeta)  # inf, not OverflowError, for huge |zeta|
+    r = _modulus(zeta)
+    mean = r * r
     if mean >= DIM_CAP:
         return DIM_CAP
     dim = math.ceil(mean + 10.0 * math.sqrt(mean + 1.0)) + 4 * n_power + 16
@@ -141,8 +151,13 @@ def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
     zetas = [complex(z) for z in zetas]
     errors: list = [None if cmath.isfinite(z) else ValueError(_NON_FINITE) for z in zetas]
     logs, halves, turns = [], [], []
-    for z, error in zip(zetas, errors):
-        z = z if error is None else 0j  # a refused z stays out of the array arithmetic
+    for i, z in enumerate(zetas):
+        if errors[i] is None and _modulus(z) == math.inf:
+            errors[i] = ConvergenceError(
+                f"coherent state |zeta| overflows the double range (zeta={z}): "
+                "its occupation lies above every truncation"
+            )
+        z = z if errors[i] is None else 0j  # a refused z stays out of the array arithmetic
         r = abs(z)
         logs.append(math.log(r) if z else 0.0)
         halves.append(r * r / 2.0)

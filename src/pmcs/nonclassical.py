@@ -28,8 +28,8 @@ import numpy as np
 from . import fock
 from .errors import ConvergenceError, PmcsError
 from .specfun import laguerre_table, log_factorial_value
-from .states import PMCState, _diagonal_sum, _laguerre_sum
-from .weyl import ModulationParams, expand_number_power
+from .states import PMCState, _laguerre_sum
+from .weyl import ModulationParams, diagonal_sum, expand_number_power
 
 
 class UndefinedRatioError(PmcsError, ArithmeticError):
@@ -332,39 +332,33 @@ def quasiprob_paper(
     ratio = (s - 2.0) / s
     log_ratio = math.log(abs(ratio)) if ratio else -math.inf
     ratio_sign = 1.0 if ratio >= 0 else -1.0
-    r2 = z2
-    log_r2 = math.log(r2) if r2 else -math.inf
+    log_r2 = math.log(z2) if z2 else -math.inf
 
     lags = laguerre_table(params.N, lag_arg)
 
     def extra(k: int, l: int) -> tuple[float, float]:
-        power = k - l
-        if r2 == 0.0 and power > 0:
-            return -math.inf, 0.0
         order = params.N - k - l
-        if ratio == 0.0 and order > 0:
-            return -math.inf, 0.0
         lag = lags[order]
-        if lag == 0.0:
+        if lag == 0.0 or (order and ratio == 0.0):
+            # log(0) raises; at s = 2 the term vanishes even where its lag overflowed to inf or NaN
             return -math.inf, 0.0
         sign = (ratio_sign**order) * (1.0 if lag > 0 else -1.0)
         return (
-            (power * log_r2 if power else 0.0)
+            ((k - l) * log_r2 if k - l else 0.0)
             + log_factorial_value(order)
             + (order * log_ratio if order else 0.0)
             + math.log(abs(lag)),
             sign,
         )
 
-    series = _diagonal_sum(params, extra)
+    series = diagonal_sum(params, extra)
     prefactor = 2.0 / (math.pi**2 * (1.0 - s) * norm_sq)
     return prefactor * math.exp(exponent) * series
 
 
-def fidelity_oracle(state: PMCState, zeta: complex | None = None) -> float:
+def fidelity_oracle(state: PMCState) -> float:
     """|<zeta | N, zeta>|^2 through the truncated inner product."""
-    zeta = state.zeta if zeta is None else complex(zeta)
-    ref, _ = fock.coherent_state(zeta, state.vector.dim)
+    ref, _ = fock.coherent_state(state.zeta, state.vector.dim)
     return abs(ref.inner(state.vector)) ** 2
 
 
@@ -375,15 +369,11 @@ def fidelity_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> f
         N^2 (N!)^2 sum_kl |mu|^(2k) |nu|^(2(N-k)) (1/4)^l |zeta|^(2(N-2l))
             / (l!(k-l)!(N-k-l)!)^2
     """
-    if params.N == 0:
-        return 1.0
     r2 = abs(complex(zeta)) ** 2
     log_r2 = math.log(r2) if r2 else -math.inf
 
     def extra(k: int, l: int) -> tuple[float, float]:
         power = params.N - 2 * l
-        if r2 == 0.0 and power > 0:
-            return -math.inf, 0.0
         return (power * log_r2 if power else 0.0), 1.0
 
-    return _diagonal_sum(params, extra) / norm_sq
+    return diagonal_sum(params, extra) / norm_sq

@@ -7,7 +7,8 @@ form keeps only the diagonal k = k' part of the full expansion, so away from
 the photon-added (mu = 0), photon-subtracted (nu = 0) and N = 0 limits the two
 norms genuinely differ, and that gap is measured rather than hidden.
 
-Every closed form is one walk of the (k, l) lattice in ``_diagonal_sum``.  A
+Every closed form is one ``weyl.diagonal_sum``: the |t_kl|^2-weighted sum
+over the (k, l) lattice of the Weyl series of (mu a + nu a†)^N.  A
 closed-form call evaluates its Laguerre polynomials once, as a single row
 ``L_0 .. L_n`` at the call's argument (``specfun.laguerre_table``), and its
 per-term factor indexes into that row.  The norm and the closed-form moments
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 
 from . import fock
 from .errors import DegenerateStateError
-from .specfun import laguerre_table, log_factorial_value, signed_log_sum
-from .weyl import ModulationParams
-
-_LN4 = math.log(4.0)
+from .specfun import laguerre_table, log_factorial_value
+from .weyl import ModulationParams, diagonal_sum
 
 
 @dataclass(frozen=True)
@@ -57,47 +56,6 @@ class PMCState:
         return self.vector.tail_mass()
 
 
-def _diagonal_sum(params: ModulationParams, extra) -> float:
-    """The (k, l) double sum shared by every closed-form expression:
-
-        (N!)^2 sum_k |mu|^(2k) |nu|^(2(N-k)) sum_l (1/4)^l
-            * extra(k, l) / (l! (k-l)! (N-k-l)!)^2
-
-    ``extra`` returns (log magnitude, sign) for the term-specific factor.
-    """
-    n_pow = params.N
-    abs_mu, abs_nu = abs(params.mu), abs(params.nu)
-    log_mu2 = 2.0 * math.log(abs_mu) if abs_mu else -math.inf
-    log_nu2 = 2.0 * math.log(abs_nu) if abs_nu else -math.inf
-    base = 2.0 * log_factorial_value(n_pow)
-
-    entries = []
-    for k in range(n_pow + 1):
-        if abs_mu == 0.0 and k > 0:
-            continue
-        if abs_nu == 0.0 and k < n_pow:
-            continue
-        for l in range(min(n_pow - k, k) + 1):
-            log_extra, sign = extra(k, l)
-            if sign == 0:
-                continue
-            log_mag = (
-                base
-                + (k * log_mu2 if k else 0.0)
-                + ((n_pow - k) * log_nu2 if n_pow - k else 0.0)
-                - l * _LN4
-                - 2.0
-                * (
-                    log_factorial_value(l)
-                    + log_factorial_value(k - l)
-                    + log_factorial_value(n_pow - k - l)
-                )
-                + log_extra
-            )
-            entries.append((log_mag, sign))
-    return signed_log_sum(entries).real
-
-
 def _laguerre_sum(params: ModulationParams, r2: float, shift: int) -> float:
     """The lattice sum with the (N-k-l+shift)! L_{N-k-l+shift}(-r2) factor:
 
@@ -111,18 +69,11 @@ def _laguerre_sum(params: ModulationParams, r2: float, shift: int) -> float:
     lag = laguerre_table(top, -r2)  # positive for r2 >= 0
 
     def extra(k: int, l: int) -> tuple[float, float]:
-        power = k - l
-        if r2 == 0.0 and power > 0:
-            return -math.inf, 0.0
         order = top - k - l
-        return (
-            (power * log_r2 if power else 0.0)
-            + log_factorial_value(order)
-            + math.log(lag[order]),
-            1.0,
-        )
+        log_power = (k - l) * log_r2 if k - l else 0.0
+        return log_power + log_factorial_value(order) + math.log(lag[order]), 1.0
 
-    return _diagonal_sum(params, extra)
+    return diagonal_sum(params, extra)
 
 
 def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:
@@ -132,8 +83,6 @@ def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:
     Reduces to 1 at N = 0, to N! L_N(-|zeta|^2) for mu = 0, nu = 1 and to
     |zeta|^(2N) for mu = 1, nu = 0.
     """
-    if params.N == 0:
-        return 1.0
     return _laguerre_sum(params, abs(complex(zeta)) ** 2, 0)
 
 

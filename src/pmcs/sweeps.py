@@ -57,6 +57,14 @@ class ZetaGrid:
         step = (self.r_max - self.r_min) / (self.r_steps - 1)
         return [self.r_min + i * step for i in range(self.r_steps)]
 
+    def _real_fields(self, name: str):
+        """``SweepConfig._real_fields`` of this grid, under ``name``: its
+        floats, then the radii themselves, which a finite span can overflow."""
+        yield f"{name}.r_min", [self.r_min]
+        yield f"{name}.r_max", [self.r_max]
+        yield f"{name} radii", self.radii()
+        yield f"{name}.thetas", self.thetas
+
 
 class GammaGrid(ZetaGrid):
     """A polar gamma grid, with the radius rule of ``ZetaGrid``."""
@@ -116,14 +124,10 @@ class SweepConfig:
         """(field name, real values) for every float the grids are built from."""
         yield "mu", [part for z in self.mu for part in (z.real, z.imag)]
         yield "nu", [part for z in self.nu for part in (z.real, z.imag)]
-        yield "zeta.r_min", [self.zeta.r_min]
-        yield "zeta.r_max", [self.zeta.r_max]
-        yield "zeta.thetas", self.zeta.thetas
+        yield from self.zeta._real_fields("zeta")
         if self.quasi is not None:
             yield "quasi.s", [self.quasi.s]
-            yield "quasi.gamma.r_min", [self.quasi.gamma.r_min]
-            yield "quasi.gamma.r_max", [self.quasi.gamma.r_max]
-            yield "quasi.gamma.thetas", self.quasi.gamma.thetas
+            yield from self.quasi.gamma._real_fields("quasi.gamma")
 
 
 @dataclass
@@ -349,7 +353,7 @@ def _presets() -> dict[str, SweepConfig]:
     }
 
 
-PRESET_NAMES = ("fig1", "fig2", "fig3a", "fig3b", "fig4")
+PRESET_NAMES = tuple(_presets())
 
 
 def preset_config(name: str) -> SweepConfig:

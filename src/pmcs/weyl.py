@@ -4,8 +4,11 @@ exp(-lam a†a).
 Because mu a + nu a† commutes with itself, the symmetric-ordered expansion of
 its N-th power is the operator power itself, so the series rebuilt as a
 truncated matrix reproduces the dense matrix power up to rounding (the tests
-hold it to that).  The closed-form moments take their Stirling weights
-S(j, i) from ``expand_number_power``.
+hold it to that).  The series' (k, l) lattice has one walker, ``_lattice``;
+``diagonal_sum`` reads it for every closed form of ``states`` and
+``nonclassical``, each a |t_kl|^2-weighted sum over its terms.  The
+closed-form moments take their Stirling weights S(j, i) from
+``expand_number_power``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Mapping
 from .specfun import log_factorial_value, signed_log_sum
 
 MAX_POWER = 32
-_LN2 = math.log(2.0)
+_LN4 = math.log(4.0)
 
 
 @dataclass(frozen=True)
@@ -59,50 +62,56 @@ class NormalOrderedSeries:
         return sum(c * z.conjugate() ** m * z**n for (m, n), c in self.terms.items())
 
 
-def _log_polar(value: complex) -> tuple[float, float]:
-    value = complex(value)
-    if value == 0:
-        return -math.inf, 0.0
-    return math.log(abs(value)), math.atan2(value.imag, value.real)  # cmath.phase raises on underflow
+def _lattice(params: ModulationParams):
+    """Yield (k, l, log |t_kl|^2) for the terms of the normal-ordered series
+
+        (mu a + nu a†)^N = sum_kl t_kl :a†^(N-k-l) a^(k-l):,
+        t_kl = N! mu^k nu^(N-k) 2^(-l) / (l! (k-l)! (N-k-l)!),
+
+    l = 0 .. min(N-k, k).  mu = 0 leaves only k = 0 (pure a†^N) and nu = 0
+    only k = N (pure a^N).  This is the one walk of the lattice: the series
+    and every closed form read it.
+    """
+    n_pow = params.N
+    abs_mu, abs_nu = abs(params.mu), abs(params.nu)
+    log_mu2 = 2.0 * math.log(abs_mu) if abs_mu else -math.inf
+    log_nu2 = 2.0 * math.log(abs_nu) if abs_nu else -math.inf
+    lf = log_factorial_value
+    base = 2.0 * lf(n_pow)
+    for k in range(0 if abs_nu else n_pow, (n_pow if abs_mu else 0) + 1):
+        for l in range(min(n_pow - k, k) + 1):
+            yield k, l, (
+                base + (k * log_mu2 if k else 0.0) + ((n_pow - k) * log_nu2 if n_pow - k else 0.0)
+                - l * _LN4 - 2.0 * (lf(l) + lf(k - l) + lf(n_pow - k - l))
+            )
 
 
 def expand_superposed_power(params: ModulationParams) -> NormalOrderedSeries:
-    """Normal-ordered series of (mu a + nu a†)^N:
-
-        N! sum_k mu^k nu^(N-k) sum_l (1/2)^l :a†^(N-k-l) a^(k-l): /
-            (l! (k-l)! (N-k-l)!)
-
-    with l = 0 .. min(N-k, k).  The prefactor is kept as mu^k nu^(N-k) so the
-    nu = 0 case degenerates cleanly to the single k = N term (pure a^N) and
-    mu = 0 to the single k = 0 term (pure a†^N).
-    """
+    """Normal-ordered series of (mu a + nu a†)^N: coefficient t_kl of
+    a†^(N-k-l) a^(k-l), one lattice term per (m, n)."""
+    arg_mu = math.atan2(params.mu.imag, params.mu.real)  # cmath.phase raises on underflow
+    arg_nu = math.atan2(params.nu.imag, params.nu.real)
     n_pow = params.N
-    if n_pow == 0:
-        return NormalOrderedSeries({(0, 0): 1.0 + 0.0j})
-    log_mu, arg_mu = _log_polar(params.mu)
-    log_nu, arg_nu = _log_polar(params.nu)
-    lfn = log_factorial_value(n_pow)
+    return NormalOrderedSeries({
+        (n_pow - k - l, k - l): signed_log_sum(
+            [(0.5 * log_t2, cmath.exp(1j * (k * arg_mu + (n_pow - k) * arg_nu)))]
+        )
+        for k, l, log_t2 in _lattice(params)
+    })
 
-    buckets: dict[tuple[int, int], list[tuple[float, complex]]] = {}
-    for k in range(n_pow + 1):
-        if params.mu == 0 and k > 0:
-            continue
-        if params.nu == 0 and k < n_pow:
-            continue
-        for l in range(min(n_pow - k, k) + 1):
-            key = (n_pow - k - l, k - l)
-            log_mag = (
-                lfn
-                - log_factorial_value(l)
-                - log_factorial_value(k - l)
-                - log_factorial_value(n_pow - k - l)
-                - l * _LN2
-                + (k * log_mu if k else 0.0)
-                + ((n_pow - k) * log_nu if n_pow - k else 0.0)
-            )
-            phase = cmath.exp(1j * (k * arg_mu + (n_pow - k) * arg_nu))
-            buckets.setdefault(key, []).append((log_mag, phase))
-    return NormalOrderedSeries({key: signed_log_sum(entries) for key, entries in buckets.items()})
+
+def diagonal_sum(params: ModulationParams, extra) -> float:
+    """The diagonal-only sum behind every closed form,
+
+        sum_kl |t_kl|^2 extra(k, l),
+
+    with ``extra`` returning (log magnitude, sign) of the term's factor.
+    """
+    entries = []
+    for k, l, log_t2 in _lattice(params):
+        log_extra, sign = extra(k, l)
+        entries.append((log_t2 + log_extra, sign))
+    return signed_log_sum(entries).real
 
 
 @lru_cache(maxsize=None)

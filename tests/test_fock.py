@@ -316,3 +316,12 @@ class TestVectors:
         mean = abs(zeta) ** 2
         expected = math.ceil(mean + 10 * math.sqrt(mean + 1)) + 4 * n_pow + 16
         assert fock.default_dim(zeta, n_pow) == expected
+
+    def test_overflowing_modulus_is_refused_alone(self):
+        # |z| = 2.1e308 leaves the double range although both parts are finite
+        z = complex(1.5e308, 1.5e308)
+        assert fock.default_dim(z, 1) == fock.DIM_CAP
+        amps, _, errors = fock.coherent_rows([z, 1.0], 32)
+        assert isinstance(errors[0], ConvergenceError) and errors[1] is None
+        assert not amps[0].any()
+        assert np.array_equal(amps[1], fock.coherent_state(1.0, 32)[0].amplitudes)

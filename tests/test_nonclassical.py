@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pmcs import nonclassical as nc, states
+from pmcs import nonclassical as nc, states, weyl
 from pmcs.nonclassical import QuasiProbParams, UndefinedRatioError
 from pmcs.weyl import ModulationParams
 
@@ -89,14 +89,13 @@ class TestMomentsPaper:
     def test_five_lattice_walks(self, monkeypatch, n_pow):
         # one walk for the norm and one per shift 1..4; mu_j reuses the m-like sums
         walks = []
-        original = states._diagonal_sum
+        original = weyl._lattice
 
         def spy(*args, **kwargs):
             walks.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(states, "_diagonal_sum", spy)
-        monkeypatch.setattr(nc, "_diagonal_sum", spy)
+        monkeypatch.setattr(weyl, "_lattice", spy)
         params = ModulationParams(1 / 3, 2 / 3, n_pow)
         nc.moments_paper(params, 0.7, states.paper_norm_sq(params, 0.7))
         assert len(walks) == 5
@@ -277,6 +276,24 @@ class TestQuasiProbPaper:
         with pytest.raises(ValueError):
             params = ModulationParams(0.001, 1.2, 2)
             nc.quasiprob_paper(params, 1j, QuasiProbParams(0.5, s), states.paper_norm_sq(params, 1j))
+
+    @pytest.mark.parametrize(
+        "gamma", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(math.inf, math.nan)],
+        ids=["nan", "inf", "inf-nan"],
+    )
+    def test_non_finite_gamma_rejected(self, gamma):
+        params = ModulationParams(0.001, 1.2, 2)
+        with pytest.raises(ValueError, match="^gamma must be finite"):
+            nc.quasiprob_paper(params, 1j, QuasiProbParams(gamma, -0.5), states.paper_norm_sq(params, 1j))
+
+    @pytest.mark.parametrize("n_pow,gamma", [(1, 1e154), (20, 1e60)])
+    def test_s2_terms_vanish_where_the_laguerre_row_overflows(self, n_pow, gamma):
+        # at s = 2 every order > 0 term carries ((s-2)/s)^order = 0; its lag
+        # is NaN (|gamma|^2 overflows) or inf (L_20 overflows) and must not
+        # turn the sum NaN: the Gaussian prefactor underflows to 0
+        params = ModulationParams(0.3, 0.5, n_pow)
+        value = nc.quasiprob_paper(params, 1e-5, QuasiProbParams(gamma, 2.0), 1.0)
+        assert value == 0.0
 
     def test_fig_regime_attains_negative_values(self):
         params = ModulationParams(0.001, 1.2, 2)

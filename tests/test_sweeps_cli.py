@@ -77,32 +77,31 @@ class TestConfig:
             assert row.error.startswith("ConvergenceError: ")
             assert "underflows at every level" in row.error
 
-    def test_overflowing_gamma_step_gives_error_rows(self):
-        # r_max - r_min overflows: the step is inf and the gammas NaN or
-        # infinite; each becomes an oracle error row, the sweep goes on
+    def test_overflowing_gamma_step_is_a_config_error(self):
+        # r_max - r_min overflows: the step is inf and the gammas would be NaN
+        # or infinite; the sweep is refused before any row
         cfg = SweepConfig(
             family="quasiprob", mu=(0.001,), nu=(1.2,), n_values=(2,), engine="oracle",
             zeta=ZetaGrid(1.0, 1.0, 1), quasi=QuasiSpec(-0.5, GammaGrid(-1e308, 1e308, 3)),
         )
-        assert [row.error for row in sweeps.run_sweep(cfg)] == [
-            "oracle: ValueError: cannot convert float NaN to integer",
-            "oracle: ValueError: amplitudes must be finite",
-            "oracle: ValueError: amplitudes must be finite",
-        ]
+        with pytest.raises(ConfigError, match=r"^quasi\.gamma radii must be finite, got nan$"):
+            sweeps.run_sweep(cfg)
 
-    def test_overflowing_gamma_step_gives_paper_error_rows(self):
-        # the closed form refuses the NaN/infinite gammas instead of
-        # returning NaN: each row names a paper error before the oracle one
-        cfg = SweepConfig(
-            family="quasiprob", mu=(0.001,), nu=(1.2,), n_values=(2,), engine="both",
-            zeta=ZetaGrid(1.0, 1.0, 1), quasi=QuasiSpec(-0.5, GammaGrid(-1e308, 1e308, 3)),
-        )
-        rows = sweeps.run_sweep(cfg)
-        assert len(rows) == 3
-        for row in rows:
-            assert row.paper_value is None and row.oracle_value is None
-            assert row.error.startswith("paper: ValueError: gamma must be finite")
-            assert "; oracle: ValueError: " in row.error
+    @pytest.mark.parametrize(
+        "command,doc,grid",
+        [
+            (["fidelity", "sweep", "--preset", "fig4"],
+             {"zeta": {"r_min": 1e308, "r_max": -1e308, "r_steps": 3}}, "zeta"),
+            (["quasiprob", "grid", "--preset", "fig3a"],
+             {"quasi": {"s": -0.5, "gamma": {"r_min": -1e308, "r_max": 1e308, "r_steps": 3}}}, "quasi.gamma"),
+        ],
+        ids=["zeta", "gamma"],
+    )
+    def test_overflowing_radius_step_exits_2_naming_the_grid(self, tmp_path, capsys, command, doc, grid):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([*command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {grid} radii must be finite, got nan\n"
 
     def test_load_config_overrides(self, tmp_path):
         doc = {"N": [2], "engine": "oracle", "zeta": {"r_min": 1.0, "r_max": 1.0, "r_steps": 1}}
@@ -367,6 +366,17 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: superposed power overflows the double range")
+
+    @pytest.mark.parametrize("dim", [[], ["--dim", "64"]], ids=["default-dim", "dim-64"])
+    def test_overflowing_zeta_modulus_exits_3(self, capsys, dim):
+        # |zeta| = 2.1e308 leaves the double range although both parts are finite
+        code = cli.main([
+            "state", "build", "--mu", "1", "--nu", "1", "--N", "1",
+            "--zeta-re", "1.5e308", "--zeta-im", "1.5e308", *dim,
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: coherent state |zeta| overflows the double range")
 
     def test_overflowing_norm_exits_3_naming_the_overflow(self, capsys):
         # |1e155 a|zeta=1>|^2 overflows while every amplitude stays finite

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dense_reference
-from pmcs import fock, weyl
+from pmcs import fock, nonclassical, states, weyl
 from pmcs.specfun import two_param_hermite
 
 MU_GRID = (1.0, 0.5 - 0.3j, -0.7 + 0.2j, 1.1j)
@@ -110,6 +110,30 @@ def stirling2_reference(j, i):
     for r in range(i + 1):
         total += Fraction((-1) ** r * (i - r) ** j, math.factorial(r) * math.factorial(i - r))
     return int(total)
+
+
+class TestClosedFormsAtVacuum:
+    """At zeta = 0 the diagonal-only closed forms are exact, so they must
+    agree with the Weyl series whose lattice they sum: (mu a + nu a†)^N |0>
+    = sum_m c_{m,0} sqrt(m!) |m>."""
+
+    CASES = [(1 / 3, 2 / 3, 2), (0.3 + 0.4j, -0.7j, 7), (1, 1, 20)]
+
+    @pytest.mark.parametrize("mu,nu,n_pow", CASES)
+    def test_norm_is_the_series_vacuum_column(self, mu, nu, n_pow):
+        params = weyl.ModulationParams(mu, nu, n_pow)
+        terms = weyl.expand_superposed_power(params).terms
+        series = sum(abs(c) ** 2 * math.factorial(m) for (m, n), c in terms.items() if n == 0)
+        paper = states.paper_norm_sq(params, 0)
+        assert paper == pytest.approx(series, rel=1e-12)
+        assert paper == pytest.approx(states.build_state(params, 0).norm_sq_oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("mu,nu,n_pow", CASES)
+    def test_fidelity_is_the_series_constant_term(self, mu, nu, n_pow):
+        params = weyl.ModulationParams(mu, nu, n_pow)
+        norm_sq = states.paper_norm_sq(params, 0)
+        c00 = weyl.expand_superposed_power(params).terms.get((0, 0), 0)
+        assert nonclassical.fidelity_paper(params, 0, norm_sq) == pytest.approx(abs(c00) ** 2 / norm_sq, rel=1e-12)
 
 
 class TestNumberPowerSeries:
