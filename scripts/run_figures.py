@@ -28,7 +28,7 @@ def main() -> int:
         cfg = sweeps.preset_config(name)
         rows = sweeps.run_sweep(cfg)
         path = outdir / f"{name}.csv"
-        sweeps.emit(rows, cfg, path=str(path))
+        path.write_text(sweeps.render(rows, cfg.family, cfg.format), encoding="utf-8", newline="")
         n_err = sum(1 for row in rows if row.error)
         print(f"{name}: {len(rows)} rows ({n_err} with an error column) -> {path}")
     return 0

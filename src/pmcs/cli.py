@@ -16,16 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import states, sweeps, wavefunctions, weyl
 from .errors import ConfigError, ConvergenceError, DegenerateStateError
-
-
-def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse complex number {text!r} (try '1.0' or '0.5+0.3j')") from exc
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser, presets: tuple[str, ...]) -> None:
@@ -36,7 +30,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, presets: tuple[str, ...]) 
     parser.add_argument("--format", choices=sweeps.FORMATS, help="csv (default) or json")
     parser.add_argument(
         "--gnuplot-hint", action="store_true",
-        help="print a ready-to-use gnuplot script for the emitted file",
+        help="print a ready-to-use gnuplot script for the emitted CSV file",
     )
 
 
@@ -48,27 +42,26 @@ def _build_parser() -> argparse.ArgumentParser:
     weyl_sub = weyl_cmd.add_subparsers(dest="subcommand", required=True)
     dump = weyl_sub.add_parser("dump", help="emit the series of (mu a + nu a†)^N as JSON")
     dump.add_argument("--N", type=int, required=True)
-    dump.add_argument("--mu", type=_parse_complex, required=True)
-    dump.add_argument("--nu", type=_parse_complex, required=True)
+    dump.add_argument("--mu", type=sweeps.parse_complex, required=True)
+    dump.add_argument("--nu", type=sweeps.parse_complex, required=True)
     dump.add_argument("--out")
 
     state_cmd = sub.add_parser("state", help="photon-modulated state construction")
     state_sub = state_cmd.add_subparsers(dest="subcommand", required=True)
     build = state_sub.add_parser("build", help="build one state and print amplitudes + norms")
-    build.add_argument("--mu", type=_parse_complex, required=True)
-    build.add_argument("--nu", type=_parse_complex, required=True)
+    build.add_argument("--mu", type=sweeps.parse_complex, required=True)
+    build.add_argument("--nu", type=sweeps.parse_complex, required=True)
     build.add_argument("--N", type=int, required=True)
     build.add_argument("--zeta-re", type=float, required=True)
     build.add_argument("--zeta-im", type=float, required=True)
     build.add_argument("--dim", type=int)
     build.add_argument("--out")
 
-    preset_families = {name: sweeps.preset_config(name).family for name in sweeps.PRESET_NAMES}
     for family in sweeps.FAMILIES:
         cmd = sub.add_parser(family, help=f"{family} sweep data")
         fam_sub = cmd.add_subparsers(dest="subcommand", required=True)
         run = fam_sub.add_parser("grid" if family == "quasiprob" else "sweep", help=f"run a {family} sweep")
-        _add_sweep_flags(run, tuple(name for name, fam in preset_families.items() if fam == family))
+        _add_sweep_flags(run, tuple(name for name, cfg in sweeps.PRESETS.items() if cfg.family == family))
         run.set_defaults(family=family)
 
     wavefn_cmd = sub.add_parser("wavefn", help="position-space eigenfunctions")
@@ -128,18 +121,15 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("provide --preset and/or --config")
     if cfg.family != args.family:
         raise ConfigError(f"config family {cfg.family!r} does not match the {args.family!r} subcommand")
-    from dataclasses import replace
-
     if args.engine:
         cfg = replace(cfg, engine=args.engine)
     if args.format:
         cfg = replace(cfg, format=args.format)
-    rows = sweeps.run_sweep(cfg)
-    text = sweeps.emit(rows, cfg, path=args.out)
-    if not (args.out or cfg.output_path):
-        sys.stdout.write(text)
+    if args.gnuplot_hint and cfg.format != "csv":
+        raise ConfigError(f"--gnuplot-hint plots CSV output only, not --format {cfg.format}")
+    _write(sweeps.render(sweeps.run_sweep(cfg), cfg.family, cfg.format), args.out)
     if args.gnuplot_hint:
-        sys.stdout.write(sweeps.gnuplot_hint(cfg, args.out or cfg.output_path or "sweep.csv"))
+        sys.stdout.write(sweeps.gnuplot_hint(cfg, args.out or "sweep.csv"))
     return 0
 
 

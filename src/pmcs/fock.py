@@ -73,12 +73,6 @@ class FockVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def normalized(self) -> "FockVector":
-        norm = math.sqrt(self.norm_sq())
-        if norm == 0.0:
-            raise ValueError(_ZERO_NORM)
-        return FockVector(self.amplitudes / norm, self.basis_offset)
-
     def tail_mass(self) -> float:
         return _tail_fraction(np.abs(self.amplitudes) ** 2)
 
@@ -110,7 +104,7 @@ def _check_dim(dim: int, minimum: int = 2) -> None:
     if dim < minimum:
         raise ValueError(f"dimension {dim} below the minimum {minimum}")
     if dim > DIM_CAP:
-        raise ValueError(f"dimension {dim} exceeds the dense cap {DIM_CAP}")
+        raise ValueError(f"dimension {dim} exceeds the level cap {DIM_CAP}")
 
 
 def _modulus(z: complex) -> float:
@@ -128,8 +122,7 @@ def default_dim(zeta: complex, n_power: int = 0) -> int:
     mean = r * r
     if mean >= DIM_CAP:
         return DIM_CAP
-    dim = math.ceil(mean + 10.0 * math.sqrt(mean + 1.0)) + 4 * n_power + 16
-    return min(max(dim, 16), DIM_CAP)
+    return min(math.ceil(mean + 10.0 * math.sqrt(mean + 1.0)) + 4 * n_power + 16, DIM_CAP)
 
 
 @lru_cache(maxsize=None)
@@ -191,9 +184,9 @@ def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
 
 
 def normalize_rows(amps: np.ndarray, nsq: list[float], errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """``FockVector.normalized`` per row: (each row over its norm, the norms
-    as a column), given the rows' squared norms.  A row of norm 0 without an
-    error gets the zero-vector ValueError in ``errors`` and stays 0."""
+    """Each row over its norm, and the norms as a column, given the rows'
+    squared norms.  A row of norm 0 without an error gets the zero-vector
+    ValueError in ``errors`` and stays 0."""
     for i, norm_sq in enumerate(nsq):
         if errors[i] is None and norm_sq == 0.0:
             errors[i] = ValueError(_ZERO_NORM)
@@ -321,9 +314,16 @@ def expectation(op: FockOperator, vec: FockVector) -> complex:
 
 
 def trace_rows(summands: np.ndarray, contexts, magnitudes: np.ndarray | None = None) -> tuple[np.ndarray, list]:
-    """``trace_sum`` of each row of ``summands`` (contexts[i] and row i of
-    ``magnitudes`` going with row i): (sums, errors), errors[i] being the
-    exception of row i or None."""
+    """Sum of each row of a truncated trace's per-level summand t_n: (sums,
+    errors), errors[i] being the exception of row i or None.
+
+    Row i is refused with a ConvergenceError (carrying contexts[i]) when its
+    top decile of levels carries more than 1e-10 of |sum t_n|, or when its
+    ``magnitudes`` (default |t_n|; a larger bound where the t_n came out of
+    cancelling sums) add up to more than 1e3 max(|sum t_n|, 1): rounding
+    then ate three digits.  For a summand of one sign only the top-decile
+    fraction test remains.
+    """
     totals = summands.sum(axis=1)
     mags = np.abs(summands)
     tails = mags[:, -max(1, mags.shape[1] // 10):].sum(axis=1)
@@ -342,29 +342,15 @@ def trace_rows(summands: np.ndarray, contexts, magnitudes: np.ndarray | None = N
     return totals, errors
 
 
-def trace_sum(summand: np.ndarray, context: str = "", magnitudes: np.ndarray | None = None) -> complex:
-    """Sum of a truncated trace's per-level summand t_n, or ConvergenceError
-    (carrying ``context``) when the top decile of levels carries more than
-    1e-10 of |sum t_n|, or when the ``magnitudes`` (default |t_n|; a larger
-    bound where the t_n came out of cancelling sums) add up to more than
-    1e3 max(|sum t_n|, 1): rounding then ate three digits.  For a summand of
-    one sign only the top-decile fraction test remains.  A one-row call of
-    ``trace_rows``.
-    """
-    totals, (error,) = trace_rows(
-        summand[None, :], [context], None if magnitudes is None else magnitudes[None, :]
-    )
-    if error is not None:
-        raise error
-    return complex(totals[0])
-
-
 def density_and_trace(vec: FockVector, op: FockOperator, context: str = "") -> complex:
-    """Tr[|v><v| M] = <v|M|v> as the ``trace_sum`` of the per-level summand
-    t_n = conj(v_n) (M v)_n.
+    """Tr[|v><v| M] = <v|M|v> as the one-row ``trace_rows`` sum of the
+    per-level summand t_n = conj(v_n) (M v)_n, raising its error.
 
     The dense reference that tests hold the quasi-probability oracle against.
     """
     if op.dim != vec.dim:
         raise ValueError("dimension mismatch")
-    return trace_sum(vec.amplitudes.conj() * (op.matrix @ vec.amplitudes), context)
+    totals, (error,) = trace_rows((vec.amplitudes.conj() * (op.matrix @ vec.amplitudes))[None, :], [context])
+    if error is not None:
+        raise error
+    return complex(totals[0])

@@ -313,8 +313,9 @@ def quasiprob_paper(
             + ((s+1)/s)(g* z + g z*)] / (l!(k-l)!(N-k-l)!)^2
 
     The closed form is undefined at s in {0, 1} (and s = -2); those values
-    raise, and the oracle path remains available there.  A non-finite gamma
-    raises too, instead of returning NaN.
+    raise, and the oracle path remains available there.  So does a gamma that
+    is not finite or where |g|^2, the Gaussian factor (s in (-2, 0) at large
+    |g|), the Laguerre row or the product overflows, instead of a NaN.
     """
     s = qp.s
     for pole, why in ((0.0, "division by s"), (1.0, "prefactor 1/(1-s)"), (-2.0, "division by s+2")):
@@ -324,7 +325,10 @@ def quasiprob_paper(
         raise ValueError(f"gamma must be finite, got {qp.gamma}")
     zeta = complex(zeta)
     gamma = qp.gamma
-    g2 = abs(gamma) ** 2
+    try:
+        g2 = abs(gamma) ** 2
+    except OverflowError:
+        raise ValueError(f"|gamma|^2 overflows the double range at gamma={gamma:.4g}") from None
     z2 = abs(zeta) ** 2
     cross = 2.0 * (gamma.conjugate() * zeta).real
     exponent = -((2.0 + s) / s) * (g2 + z2) + ((s + 1.0) / s) * cross
@@ -351,9 +355,14 @@ def quasiprob_paper(
             sign,
         )
 
+    if not exponent <= _LOG_DBL_MAX:
+        raise ValueError(f"Gaussian factor exp({exponent:.4g}) overflows the double range at gamma={gamma:.4g}")
     series = diagonal_sum(params, extra)
     prefactor = 2.0 / (math.pi**2 * (1.0 - s) * norm_sq)
-    return prefactor * math.exp(exponent) * series
+    value = prefactor * math.exp(exponent) * series
+    if not math.isfinite(value):
+        raise ValueError(f"Laguerre row or product overflows the double range at gamma={gamma:.4g}, s={s}")
+    return value
 
 
 def fidelity_oracle(state: PMCState) -> float:

@@ -108,10 +108,11 @@ def build_state(params: ModulationParams, zeta: complex, dim: int | None = None)
         )
     nsq_paper = paper_norm_sq(params, zeta)
     disc = abs(nsq_paper - nsq_oracle) / nsq_oracle
+    amps, _ = fock.normalize_rows(raw.amplitudes[None, :], [nsq_oracle], [None])
     return PMCState(
         params=params,
         zeta=zeta,
-        vector=raw.normalized(),
+        vector=fock.FockVector(amps[0], raw.basis_offset),
         norm_sq_paper=nsq_paper,
         norm_sq_oracle=nsq_oracle,
         discrepancy=disc,

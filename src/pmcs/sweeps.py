@@ -31,6 +31,7 @@ from .weyl import MAX_POWER, ModulationParams
 
 ENGINES = ("paper", "oracle", "both")
 FORMATS = ("csv", "json")
+MAX_GRID_POINTS = 100_000  # rows scale with it; the largest preset grid has 120 points
 
 _BASE_COLUMNS = (
     "mu_re", "mu_im", "nu_re", "nu_im", "N", "r", "theta",
@@ -89,7 +90,6 @@ class SweepConfig:
     engine: str = "both"
     quasi: QuasiSpec | None = None
     dim_override: int | None = None
-    output_path: str | None = None
     format: str = "csv"
 
     def validate(self) -> None:
@@ -99,12 +99,6 @@ class SweepConfig:
             raise ConfigError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        for name, values in self._real_fields():
-            for value in values:
-                if not math.isfinite(value):
-                    raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.zeta.r_min < 0:
-            raise ConfigError(f"r_min must be >= 0, got {self.zeta.r_min}")
         if self.zeta.r_steps < 1:
             raise ConfigError(f"r_steps must be >= 1, got {self.zeta.r_steps}")
         if not self.mu or not self.nu or not self.n_values:
@@ -117,6 +111,20 @@ class SweepConfig:
                 raise ConfigError("quasiprob sweeps need a 'quasi' block (s and gamma grid)")
             if self.quasi.gamma.r_steps < 1:
                 raise ConfigError("gamma grid needs r_steps >= 1")
+        sizes = {"mu": len(self.mu), "nu": len(self.nu), "N": len(self.n_values)}
+        grids = [("zeta", self.zeta)] + ([("quasi.gamma", self.quasi.gamma)] if self.quasi is not None else [])
+        for name, grid in grids:
+            sizes.update({f"{name} radii": grid.r_steps, f"{name}.thetas": len(grid.thetas)})
+        points = math.prod(sizes.values())  # counted before any radius list is built
+        if points > MAX_GRID_POINTS:
+            grid = " x ".join(f"{size} {name}" for name, size in sizes.items())
+            raise ConfigError(f"grid of {points} points ({grid}) exceeds the bound {MAX_GRID_POINTS}")
+        for name, values in self._real_fields():
+            for value in values:
+                if not math.isfinite(value):
+                    raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.zeta.r_min < 0:
+            raise ConfigError(f"r_min must be >= 0, got {self.zeta.r_min}")
         if self.dim_override is not None and not 4 <= self.dim_override <= DIM_CAP:
             raise ConfigError(f"dim_override must be in [4, {DIM_CAP}]")
 
@@ -148,25 +156,14 @@ class SweepRow:
     error: str = ""
 
     def as_record(self, family: str) -> dict:
-        rec = {
+        gamma = self.gamma
+        parts = {
             "mu_re": self.mu.real, "mu_im": self.mu.imag,
             "nu_re": self.nu.real, "nu_im": self.nu.imag,
-            "N": self.N, "r": self.r, "theta": self.theta,
+            "gamma_re": None if gamma is None else gamma.real,
+            "gamma_im": None if gamma is None else gamma.imag,
         }
-        if family == "quasiprob":
-            rec["s"] = self.s
-            rec["gamma_re"] = None if self.gamma is None else self.gamma.real
-            rec["gamma_im"] = None if self.gamma is None else self.gamma.imag
-        rec.update(
-            quantity=self.quantity,
-            paper_value=self.paper_value,
-            oracle_value=self.oracle_value,
-            rel_gap=self.rel_gap,
-            truncation_dim=self.truncation_dim,
-            tail_mass=self.tail_mass,
-            error=self.error,
-        )
-        return rec
+        return {col: parts[col] if col in parts else getattr(self, col) for col in columns_for(family)}
 
 
 def _rel_gap(paper: float | None, oracle: float | None) -> float | None:
@@ -309,61 +306,48 @@ def render(rows: list[SweepRow], family: str, fmt: str) -> str:
     raise ConfigError(f"unknown format {fmt!r}")
 
 
-def emit(rows: list[SweepRow], cfg: SweepConfig, path: str | None = None) -> str:
-    """Render and (when a path is given) write the sweep output; returns the text."""
-    text = render(rows, cfg.family, cfg.format)
-    target = path or cfg.output_path
-    if target:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    return text
-
-
 _FIG_R_GRID = ZetaGrid(r_min=0.25, r_max=3.0, r_steps=12, thetas=(0.0,))
 _FIG3_GAMMA_THETAS = tuple(2.0 * math.pi * k / 12 for k in range(12))
 
 
-def _presets() -> dict[str, SweepConfig]:
-    third, two_thirds = 1.0 / 3.0, 2.0 / 3.0
-    return {
-        "fig1": SweepConfig(
-            family="a3", mu=(third,), nu=(two_thirds,), n_values=(2, 20), zeta=_FIG_R_GRID,
-        ),
-        "fig2": SweepConfig(
-            family="squeeze", mu=(third,), nu=(two_thirds,), n_values=(1, 2, 3, 6),
-            zeta=_FIG_R_GRID,
-        ),
-        "fig3a": SweepConfig(
-            family="quasiprob", mu=(0.001,), nu=(1.2,), n_values=(2,),
-            zeta=ZetaGrid(r_min=1.0, r_max=1.0, r_steps=1, thetas=(math.pi / 2.0,)),
-            quasi=QuasiSpec(s=1.2, gamma=GammaGrid(0.3, 3.0, 10, _FIG3_GAMMA_THETAS)),
-            dim_override=192,
-        ),
-        "fig3b": SweepConfig(
-            family="quasiprob", mu=(0.001,), nu=(1.2,),
-            n_values=tuple(range(13)),
-            zeta=ZetaGrid(r_min=1.0, r_max=1.0, r_steps=1, thetas=(math.pi + 0.1,)),
-            quasi=QuasiSpec(s=1.2, gamma=GammaGrid(1.0, 1.0, 1, (math.pi / 2.0,))),
-            dim_override=192,
-        ),
-        "fig4": SweepConfig(
-            family="fidelity", mu=(third,), nu=(two_thirds,), n_values=(0, 1, 2, 3, 10),
-            zeta=_FIG_R_GRID,
-        ),
-    }
-
-
-PRESET_NAMES = tuple(_presets())
+PRESETS = {
+    "fig1": SweepConfig(
+        family="a3", mu=(1.0 / 3.0,), nu=(2.0 / 3.0,), n_values=(2, 20), zeta=_FIG_R_GRID,
+    ),
+    "fig2": SweepConfig(
+        family="squeeze", mu=(1.0 / 3.0,), nu=(2.0 / 3.0,), n_values=(1, 2, 3, 6),
+        zeta=_FIG_R_GRID,
+    ),
+    "fig3a": SweepConfig(
+        family="quasiprob", mu=(0.001,), nu=(1.2,), n_values=(2,),
+        zeta=ZetaGrid(r_min=1.0, r_max=1.0, r_steps=1, thetas=(math.pi / 2.0,)),
+        quasi=QuasiSpec(s=1.2, gamma=GammaGrid(0.3, 3.0, 10, _FIG3_GAMMA_THETAS)),
+        dim_override=192,
+    ),
+    "fig3b": SweepConfig(
+        family="quasiprob", mu=(0.001,), nu=(1.2,),
+        n_values=tuple(range(13)),
+        zeta=ZetaGrid(r_min=1.0, r_max=1.0, r_steps=1, thetas=(math.pi + 0.1,)),
+        quasi=QuasiSpec(s=1.2, gamma=GammaGrid(1.0, 1.0, 1, (math.pi / 2.0,))),
+        dim_override=192,
+    ),
+    "fig4": SweepConfig(
+        family="fidelity", mu=(1.0 / 3.0,), nu=(2.0 / 3.0,), n_values=(0, 1, 2, 3, 10),
+        zeta=_FIG_R_GRID,
+    ),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset_config(name: str) -> SweepConfig:
-    presets = _presets()
-    if name not in presets:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    return presets[name]
+    return PRESETS[name]
 
 
-def _parse_complex(value) -> complex:
+def parse_complex(value) -> complex:
+    """A complex number from a config value or a CLI flag: a number, a string
+    such as '0.5+0.3j', or a [re, im] pair."""
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, str):
@@ -377,22 +361,16 @@ def _parse_complex(value) -> complex:
 
 
 def _parse_zeta(block: dict, grid=ZetaGrid) -> ZetaGrid:
-    try:
-        return grid(
-            r_min=float(block["r_min"]),
-            r_max=float(block["r_max"]),
-            r_steps=int(block["r_steps"]),
-            thetas=tuple(float(t) for t in block.get("thetas", [0.0])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed zeta grid {block!r}") from exc
+    return grid(
+        r_min=float(block["r_min"]),
+        r_max=float(block["r_max"]),
+        r_steps=int(block["r_steps"]),
+        thetas=tuple(float(t) for t in block.get("thetas", [0.0])),
+    )
 
 
 def _parse_quasi(block: dict) -> QuasiSpec:
-    try:
-        return QuasiSpec(s=float(block["s"]), gamma=_parse_zeta(block["gamma"], GammaGrid))
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        raise ConfigError(f"malformed quasi block {block!r}") from exc
+    return QuasiSpec(s=float(block["s"]), gamma=_parse_zeta(block["gamma"], GammaGrid))
 
 
 def _tuple_of(parse):
@@ -404,13 +382,12 @@ _CONFIG_KEYS = {
     "family": ("family", str),
     "engine": ("engine", str),
     "format": ("format", str),
-    "mu": ("mu", _tuple_of(_parse_complex)),
-    "nu": ("nu", _tuple_of(_parse_complex)),
+    "mu": ("mu", _tuple_of(parse_complex)),
+    "nu": ("nu", _tuple_of(parse_complex)),
     "N": ("n_values", _tuple_of(int)),
     "zeta": ("zeta", _parse_zeta),
     "quasi": ("quasi", _parse_quasi),
     "dim_override": ("dim_override", lambda v: None if v is None else int(v)),
-    "output_path": ("output_path", lambda v: v),
 }
 
 
@@ -435,10 +412,16 @@ def load_config(path: str, base: SweepConfig | None = None, family: str | None =
             family=fam, mu=(0j,), nu=(1.0 + 0j,), n_values=(1,),
             zeta=ZetaGrid(0.5, 2.0, 4),
         )
-    updates = {field: parse(doc[key]) for key, (field, parse) in _CONFIG_KEYS.items() if key in doc}
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    updates = {}
+    for key, value in doc.items():
+        field, parse = _CONFIG_KEYS[key]
+        try:
+            updates[field] = parse(value)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
+            raise ConfigError(f"malformed {key} {value!r}: {exc}") from exc
     cfg = replace(base, **updates)
     cfg.validate()
     return cfg
@@ -446,21 +429,18 @@ def load_config(path: str, base: SweepConfig | None = None, family: str | None =
 
 def gnuplot_hint(cfg: SweepConfig, out_path: str) -> str:
     """A ready-to-paste gnuplot script for the emitted CSV."""
+    cols = columns_for(cfg.family)
+    at = {col: i for i, col in enumerate(cols, 1)}  # gnuplot numbers columns from 1
     if cfg.family == "quasiprob":
-        return "\n".join(
-            [
-                "set datafile separator ','",
-                f"# columns: {', '.join(_QUASI_COLUMNS)}",
-                "set xlabel 'Re gamma'; set ylabel 'Im gamma'; set zlabel 'F'",
-                f"splot '{out_path}' every ::1 using 9:10:($12 ne '' ? $12 : $13) with points",
-            ]
-        ) + "\n"
-    value_col = 10  # oracle_value in the base schema
-    return "\n".join(
-        [
-            "set datafile separator ','",
-            f"# columns: {', '.join(_BASE_COLUMNS)}",
-            "set xlabel 'r'; set ylabel 'value'",
-            f"plot '{out_path}' every ::1 using 6:{value_col} with points title '{cfg.family}'",
+        paper, oracle = at["paper_value"], at["oracle_value"]
+        lines = [
+            "set xlabel 'Re gamma'; set ylabel 'Im gamma'; set zlabel 'F'",
+            f"splot '{out_path}' every ::1 using {at['gamma_re']}:{at['gamma_im']}:"
+            f"(${paper} ne '' ? ${paper} : ${oracle}) with points",
         ]
-    ) + "\n"
+    else:
+        lines = [
+            "set xlabel 'r'; set ylabel 'value'",
+            f"plot '{out_path}' every ::1 using {at['r']}:{at['oracle_value']} with points title '{cfg.family}'",
+        ]
+    return "\n".join(["set datafile separator ','", f"# columns: {', '.join(cols)}", *lines]) + "\n"

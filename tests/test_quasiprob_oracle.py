@@ -64,7 +64,7 @@ def reference_quasiprob(params: ModulationParams, zeta: complex, gamma: complex,
 def agrees(got: float, ref: float, s: float, rel: float) -> bool:
     """Relative agreement, measured against the distribution's scale 2/|1-s|
     where F is smaller: below that scale the oracle's accuracy is absolute
-    (``fock.trace_sum`` compares cancellation with max(|sum|, 1))."""
+    (``fock.trace_rows`` compares cancellation with max(|sum|, 1))."""
     return abs(got - ref) <= rel * max(abs(ref), 2.0 / abs(1.0 - s))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -77,6 +78,25 @@ class TestConfig:
             assert row.error.startswith("ConvergenceError: ")
             assert "underflows at every level" in row.error
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "s,r,message",
+        [
+            (-0.5, 20.0, "Gaussian factor exp("),
+            (-1.0, 40.0, "Gaussian factor exp("),
+            *[(s, 1e100, "Laguerre row or product overflows") for s in (1.2, 0.5, 3.0, -3.0)],
+            (-0.5, 1e200, "|gamma|^2 overflows"),
+            (1.2, 1.4e154, "|gamma|^2 overflows"),
+        ],
+    )
+    def test_closed_form_overflow_is_a_paper_error_row(self, s, r, message):
+        # the fig3a state at one large gamma: the closed form of F leaves the double range
+        cfg = replace(sweeps.preset_config("fig3a"), quasi=QuasiSpec(s, GammaGrid(r, r, 1)))
+        (row,) = sweeps.run_sweep(cfg)
+        assert row.error.startswith(f"paper: ValueError: {message}")
+        assert row.paper_value is None and row.rel_gap is None
+        assert row.oracle_value is None or math.isfinite(row.oracle_value)
+
     def test_overflowing_gamma_step_is_a_config_error(self):
         # r_max - r_min overflows: the step is inf and the gammas would be NaN
         # or infinite; the sweep is refused before any row
@@ -102,6 +122,39 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert cli.main([*command, "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {grid} radii must be finite, got nan\n"
+
+    @pytest.mark.parametrize(
+        "update,grid",
+        [
+            ({"zeta": ZetaGrid(0.5, 2.0, 10**9)}, "1000000000 zeta radii x 1 zeta.thetas"),
+            ({"family": "quasiprob", "quasi": QuasiSpec(-0.5, GammaGrid(0.5, 2.0, 50_000, (0.0, 1.0)))},
+             "50000 quasi.gamma radii x 2 quasi.gamma.thetas"),
+        ],
+        ids=["zeta", "gamma"],
+    )
+    def test_oversized_grid_is_counted_not_built(self, monkeypatch, update, grid):
+        monkeypatch.setattr(ZetaGrid, "radii", lambda self: pytest.fail("radii built"))
+        with pytest.raises(ConfigError, match=f"points \\(.*{grid}\\) exceeds the bound {sweeps.MAX_GRID_POINTS}$"):
+            replace(TINY, **update).validate()
+
+    def test_grid_at_the_bound_validates(self):
+        replace(TINY, n_values=(1,), zeta=ZetaGrid(0.5, 2.0, sweeps.MAX_GRID_POINTS)).validate()
+        with pytest.raises(ConfigError, match="exceeds the bound"):
+            replace(TINY, n_values=(1,), zeta=ZetaGrid(0.5, 2.0, sweeps.MAX_GRID_POINTS + 1)).validate()
+
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ZetaGrid, "radii", lambda self: pytest.fail("radii built"))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"zeta": {"r_min": 0.5, "r_max": 2.0, "r_steps": 1e9}}))
+        assert cli.main(["fidelity", "sweep", "--preset", "fig4", "--config", str(path)]) == 2
+        assert "x 1000000000 zeta radii x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"N": 5}, {"N": [1e400]}, {"zeta": {"r_min": 1, "r_max": 2, "r_steps": 1e400}}])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["fidelity", "sweep", "--preset", "fig4", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: malformed {next(iter(doc))} ")
 
     def test_load_config_overrides(self, tmp_path):
         doc = {"N": [2], "engine": "oracle", "zeta": {"r_min": 1.0, "r_max": 1.0, "r_steps": 1}}
@@ -226,21 +279,28 @@ class TestRows:
         payload = json.loads(sweeps.render(rows, TINY.family, "json"))
         assert len(payload) == len(rows)
         assert payload[0]["quantity"] == "norm_sq"
-        assert set(payload[0]) == set(sweeps.columns_for(TINY.family))
+        assert list(payload[0]) == list(sweeps.columns_for(TINY.family))
+        quasi = replace(ONE_POINT, family="quasiprob", quasi=QuasiSpec(-0.5, GammaGrid(0.5, 0.5, 1)))
+        payload = json.loads(sweeps.render(sweeps.run_sweep(quasi), "quasiprob", "json"))
+        assert [list(rec) for rec in payload] == [list(sweeps.columns_for("quasiprob"))]
 
     def test_empty_sweep_renders_header_only(self):
         text = sweeps.render([], "a3", "csv")
         assert text == ",".join(sweeps.columns_for("a3")) + "\n"
 
-    def test_emit_writes_file(self, tmp_path):
-        out = tmp_path / "rows.csv"
-        cfg = replace(TINY, output_path=str(out))
-        text = sweeps.emit(sweeps.run_sweep(cfg), cfg)
-        assert out.read_bytes().decode() == text
-
     def test_gnuplot_hint_mentions_file(self):
         hint = sweeps.gnuplot_hint(TINY, "out.csv")
         assert "out.csv" in hint and "plot" in hint
+
+    @pytest.mark.parametrize(
+        "family,using",
+        [("fidelity", ("r", "oracle_value")), ("quasiprob", ("gamma_re", "gamma_im", "paper_value", "oracle_value"))],
+    )
+    def test_gnuplot_hint_columns_are_schema_positions(self, family, using):
+        hint = sweeps.gnuplot_hint(replace(TINY, family=family), "out.csv")
+        clause = hint.split(" using ")[1].split(" with ")[0]  # 9:10:($12 ne '' ? $12 : $13) reads 9, 10, 12, 13
+        numbers = list(dict.fromkeys(int(n) for n in re.findall(r"\d+", clause)))
+        assert numbers == [sweeps.columns_for(family).index(c) + 1 for c in using]
 
 
 ONE_POINT = replace(TINY, n_values=(1,), zeta=ZetaGrid(1.0, 1.0, 1))
@@ -404,6 +464,26 @@ class TestCli:
         assert lines[0].startswith("mu_re,mu_im,nu_re,nu_im,N,r,theta,quantity")
         assert len(lines) == 1 + 2 * 5 * 12  # header + (norm_sq + fidelity) * N-values * radii
         assert "plot" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_writes_exactly_the_stdout_bytes(self, tmp_path, capsys, fmt):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"N": [0, 1], "zeta": {"r_min": 0.5, "r_max": 1.0, "r_steps": 2}}))
+        command = ["fidelity", "sweep", "--preset", "fig4", "--config", str(path), "--format", fmt]
+        capsys.readouterr()
+        assert cli.main(command) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / f"rows.{fmt}"
+        assert cli.main([*command, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode("utf-8") and stdout.count("\n") > 4
+
+    def test_gnuplot_hint_with_json_exits_2_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "run_sweep", lambda cfg: pytest.fail("the sweep ran"))
+        out = tmp_path / "f4.json"
+        command = ["fidelity", "sweep", "--preset", "fig4", "--format", "json", "--out", str(out), "--gnuplot-hint"]
+        assert cli.main(command) == 2
+        assert "--gnuplot-hint" in capsys.readouterr().err and not out.exists()
 
     def test_config_overrides_preset(self, tmp_path, capsys):
         path = tmp_path / "small.json"
