@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -34,6 +35,14 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, presets: tuple[str, ...]) 
     )
 
 
+def _complex_arg(text: str) -> complex:
+    """``sweeps.parse_complex``, its message shown in argparse's usage error."""
+    try:
+        return sweeps.parse_complex(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pmcs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,15 +51,15 @@ def _build_parser() -> argparse.ArgumentParser:
     weyl_sub = weyl_cmd.add_subparsers(dest="subcommand", required=True)
     dump = weyl_sub.add_parser("dump", help="emit the series of (mu a + nu a†)^N as JSON")
     dump.add_argument("--N", type=int, required=True)
-    dump.add_argument("--mu", type=sweeps.parse_complex, required=True)
-    dump.add_argument("--nu", type=sweeps.parse_complex, required=True)
+    dump.add_argument("--mu", type=_complex_arg, required=True)
+    dump.add_argument("--nu", type=_complex_arg, required=True)
     dump.add_argument("--out")
 
     state_cmd = sub.add_parser("state", help="photon-modulated state construction")
     state_sub = state_cmd.add_subparsers(dest="subcommand", required=True)
     build = state_sub.add_parser("build", help="build one state and print amplitudes + norms")
-    build.add_argument("--mu", type=sweeps.parse_complex, required=True)
-    build.add_argument("--nu", type=sweeps.parse_complex, required=True)
+    build.add_argument("--mu", type=_complex_arg, required=True)
+    build.add_argument("--nu", type=_complex_arg, required=True)
     build.add_argument("--N", type=int, required=True)
     build.add_argument("--zeta-re", type=float, required=True)
     build.add_argument("--zeta-im", type=float, required=True)
@@ -138,6 +147,9 @@ def _cmd_wavefn_dump(args) -> int:
 
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
+    for flag, value in (("--xmin", args.xmin), ("--xmax", args.xmax)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     x = np.linspace(args.xmin, args.xmax, args.points)
     psi = wavefunctions.eigenfunction(args.n, x)
     pot = wavefunctions.potential(x)

@@ -13,8 +13,9 @@ displacement, evaluated for a state point's whole gamma grid in one
 row-batched pass (``quasiprob_grid``; ``quasiprob_oracle`` is its one-gamma
 case).  The *_paper functions take the closed-form squared norm from
 the caller (a sweep reads it from the state it built) instead of walking its
-lattice again.  The oracle is authoritative; gaps between the two are data,
-not bugs, and are surfaced by the sweep layer.
+lattice again; ``moments_paper`` walks it once for all four moments.  The
+oracle is authoritative; gaps between the two are data, not bugs, and are
+surfaced by the sweep layer.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
+from . import fock, weyl
 from .errors import ConvergenceError, PmcsError
-from .specfun import laguerre_table, log_factorial_value
+from .specfun import laguerre_table, log_factorial_value, signed_log_sum
 from .states import PMCState, _laguerre_sum
-from .weyl import ModulationParams, diagonal_sum, expand_number_power
+from .weyl import ModulationParams, expand_number_power
 
 
 class UndefinedRatioError(PmcsError, ArithmeticError):
@@ -117,11 +118,11 @@ def moments_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> Mo
     m_j is the Laguerre sum at order shift j, and mu_j = sum_i S(j, i) m_i
     with the exact Stirling numbers of ``weyl.expand_number_power(j)``, the
     normal-ordered form of (a†a)^j.  Both inherit the diagonal-only structure
-    of the closed-form norm.  The four m-like sums (shifts 1..4) are the only
-    lattice walks.
+    of the closed-form norm.  The four m-like sums (shifts 1..4) come from
+    one lattice walk.
     """
     r2 = abs(complex(zeta)) ** 2
-    m_like = {j: _laguerre_sum(params, r2, j) for j in (1, 2, 3, 4)}
+    m_like = dict(zip((1, 2, 3, 4), _laguerre_sum(params, r2, (1, 2, 3, 4))))
     m = tuple(m_like[j] / norm_sq for j in (1, 2, 3, 4))
     mu = tuple(
         sum(c.real * m_like[i] for (i, _), c in expand_number_power(j).terms.items()) / norm_sq
@@ -339,25 +340,22 @@ def quasiprob_paper(
     log_r2 = math.log(z2) if z2 else -math.inf
 
     lags = laguerre_table(params.N, lag_arg)
-
-    def extra(k: int, l: int) -> tuple[float, float]:
+    if not exponent <= _LOG_DBL_MAX:
+        raise ValueError(f"Gaussian factor exp({exponent:.4g}) overflows the double range at gamma={gamma:.4g}")
+    entries = []
+    for k, l, log_t2 in weyl._lattice(params):
         order = params.N - k - l
         lag = lags[order]
         if lag == 0.0 or (order and ratio == 0.0):
-            # log(0) raises; at s = 2 the term vanishes even where its lag overflowed to inf or NaN
-            return -math.inf, 0.0
+            continue  # log(0) raises; at s = 2 the term vanishes even where its lag overflowed to inf or NaN
         sign = (ratio_sign**order) * (1.0 if lag > 0 else -1.0)
-        return (
+        entries.append((log_t2 + (
             ((k - l) * log_r2 if k - l else 0.0)
             + log_factorial_value(order)
             + (order * log_ratio if order else 0.0)
-            + math.log(abs(lag)),
-            sign,
-        )
-
-    if not exponent <= _LOG_DBL_MAX:
-        raise ValueError(f"Gaussian factor exp({exponent:.4g}) overflows the double range at gamma={gamma:.4g}")
-    series = diagonal_sum(params, extra)
+            + math.log(abs(lag))
+        ), sign))
+    series = signed_log_sum(entries).real
     prefactor = 2.0 / (math.pi**2 * (1.0 - s) * norm_sq)
     value = prefactor * math.exp(exponent) * series
     if not math.isfinite(value):
@@ -381,8 +379,8 @@ def fidelity_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> f
     r2 = abs(complex(zeta)) ** 2
     log_r2 = math.log(r2) if r2 else -math.inf
 
-    def extra(k: int, l: int) -> tuple[float, float]:
+    entries = []
+    for k, l, log_t2 in weyl._lattice(params):
         power = params.N - 2 * l
-        return (power * log_r2 if power else 0.0), 1.0
-
-    return diagonal_sum(params, extra) / norm_sq
+        entries.append((log_t2 + (power * log_r2 if power else 0.0), 1.0))
+    return signed_log_sum(entries).real / norm_sq

@@ -7,26 +7,28 @@ form keeps only the diagonal k = k' part of the full expansion, so away from
 the photon-added (mu = 0), photon-subtracted (nu = 0) and N = 0 limits the two
 norms genuinely differ, and that gap is measured rather than hidden.
 
-Every closed form is one ``weyl.diagonal_sum``: the |t_kl|^2-weighted sum
-over the (k, l) lattice of the Weyl series of (mu a + nu a†)^N.  A
-closed-form call evaluates its Laguerre polynomials once, as a single row
-``L_0 .. L_n`` at the call's argument (``specfun.laguerre_table``), and its
-per-term factor indexes into that row.  The norm and the closed-form moments
-share one such sum, ``_laguerre_sum``, at Laguerre order shifts 0 and 1..4.
+Every closed form is a |t_kl|^2-weighted sum over the (k, l) term table of
+the Weyl series of (mu a + nu a†)^N, cached per (|mu|, |nu|, N) by
+``weyl._lattice``.  A closed-form call evaluates its Laguerre polynomials
+once, as a single row ``L_0 .. L_n`` at the call's argument
+(``specfun.laguerre_table``), and its per-term factors index into that row.
+``_laguerre_sum`` sums several Laguerre order shifts in one walk: shift 0 is
+the norm, shifts 1..4 the moments, so an A3 point walks the table twice.
 ``build_state`` computes both norms, so a sweep point builds its state once
 and reads the norm comparison from it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 
-from . import fock
+from . import fock, weyl
 from .errors import DegenerateStateError
-from .specfun import laguerre_table, log_factorial_value
-from .weyl import ModulationParams, diagonal_sum
+from .specfun import laguerre_table, log_factorial_value, signed_log_sum
+from .weyl import ModulationParams
 
 
 @dataclass(frozen=True)
@@ -56,24 +58,27 @@ class PMCState:
         return self.vector.tail_mass()
 
 
-def _laguerre_sum(params: ModulationParams, r2: float, shift: int) -> float:
-    """The lattice sum with the (N-k-l+shift)! L_{N-k-l+shift}(-r2) factor:
+def _laguerre_sum(params: ModulationParams, r2: float, shifts: tuple[int, ...]) -> tuple[float, ...]:
+    """For each shift of ``shifts``, in one lattice walk, the sum with the
+    (N-k-l+shift)! L_{N-k-l+shift}(-r2) factor:
 
         (N!)^2 sum_k |mu|^(2k) |nu|^(2(N-k)) sum_l (1/4)^l r2^(k-l)
             (N-k-l+shift)! L_{N-k-l+shift}(-r2) / (l! (k-l)! (N-k-l)!)^2
 
     Shift 0 is the closed-form squared norm, shift j the unnormalized m_j.
+    The values come from one Laguerre row up to order N + max(shifts), whose
+    prefix the recurrence makes equal to every shorter row.
     """
     log_r2 = math.log(r2) if r2 else -math.inf
-    top = params.N + shift
-    lag = laguerre_table(top, -r2)  # positive for r2 >= 0
-
-    def extra(k: int, l: int) -> tuple[float, float]:
-        order = top - k - l
+    lag = laguerre_table(params.N + max(shifts), -r2)  # positive for r2 >= 0
+    columns = [([], shift) for shift in shifts]
+    for k, l, log_t2 in weyl._lattice(params):
+        base = params.N - k - l
         log_power = (k - l) * log_r2 if k - l else 0.0
-        return log_power + log_factorial_value(order) + math.log(lag[order]), 1.0
-
-    return diagonal_sum(params, extra)
+        for entries, shift in columns:
+            order = base + shift
+            entries.append((log_t2 + (log_power + log_factorial_value(order) + math.log(lag[order])), 1.0))
+    return tuple(signed_log_sum(entries).real for entries, _ in columns)
 
 
 def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:
@@ -83,7 +88,7 @@ def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:
     Reduces to 1 at N = 0, to N! L_N(-|zeta|^2) for mu = 0, nu = 1 and to
     |zeta|^(2N) for mu = 1, nu = 0.
     """
-    return _laguerre_sum(params, abs(complex(zeta)) ** 2, 0)
+    return _laguerre_sum(params, abs(complex(zeta)) ** 2, (0,))[0]
 
 
 def build_state(params: ModulationParams, zeta: complex, dim: int | None = None) -> PMCState:
@@ -96,6 +101,8 @@ def build_state(params: ModulationParams, zeta: complex, dim: int | None = None)
     (mu = 2/3, nu = 0, N = 32, |zeta| = 0.25 gives 1.6e-50) build normally.
     """
     zeta = complex(zeta)
+    if not cmath.isfinite(zeta):
+        raise ValueError(f"zeta must be finite, got {zeta}")
     if dim is None:
         dim = fock.default_dim(zeta, params.N)
     base, _ = fock.coherent_state(zeta, dim)

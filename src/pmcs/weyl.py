@@ -4,11 +4,11 @@ exp(-lam a†a).
 Because mu a + nu a† commutes with itself, the symmetric-ordered expansion of
 its N-th power is the operator power itself, so the series rebuilt as a
 truncated matrix reproduces the dense matrix power up to rounding (the tests
-hold it to that).  The series' (k, l) lattice has one walker, ``_lattice``;
-``diagonal_sum`` reads it for every closed form of ``states`` and
-``nonclassical``, each a |t_kl|^2-weighted sum over its terms.  The
-closed-form moments take their Stirling weights S(j, i) from
-``expand_number_power``.
+hold it to that).  The series' (k, l) lattice has one builder, ``_lattice``,
+whose term table depends only on (|mu|, |nu|, N) and is cached, so every
+radius and angle of a sweep shares it.  Every closed form of ``states`` and
+``nonclassical`` is a |t_kl|^2-weighted sum over its terms.  The closed-form
+moments take their Stirling weights S(j, i) from ``expand_number_power``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class ModulationParams:
     def __post_init__(self):
         object.__setattr__(self, "mu", complex(self.mu))
         object.__setattr__(self, "nu", complex(self.nu))
+        if not (cmath.isfinite(self.mu) and cmath.isfinite(self.nu)):
+            raise ValueError(f"mu and nu must be finite, got mu={self.mu}, nu={self.nu}")
         if self.N < 0 or self.N > MAX_POWER:
             raise ValueError(f"N must be in [0, {MAX_POWER}], got {self.N}")
         if self.N > 0 and self.mu == 0 and self.nu == 0:
@@ -62,28 +64,33 @@ class NormalOrderedSeries:
         return sum(c * z.conjugate() ** m * z**n for (m, n), c in self.terms.items())
 
 
-def _lattice(params: ModulationParams):
-    """Yield (k, l, log |t_kl|^2) for the terms of the normal-ordered series
+def _lattice(params: ModulationParams) -> tuple[tuple[int, int, float], ...]:
+    """The (k, l, log |t_kl|^2) terms of the normal-ordered series
 
         (mu a + nu a†)^N = sum_kl t_kl :a†^(N-k-l) a^(k-l):,
         t_kl = N! mu^k nu^(N-k) 2^(-l) / (l! (k-l)! (N-k-l)!),
 
     l = 0 .. min(N-k, k).  mu = 0 leaves only k = 0 (pure a†^N) and nu = 0
-    only k = N (pure a^N).  This is the one walk of the lattice: the series
-    and every closed form read it.
+    only k = N (pure a^N).  The series and every closed form read this one
+    table; it depends only on (|mu|, |nu|, N), and the last 64 are cached.
     """
-    n_pow = params.N
-    abs_mu, abs_nu = abs(params.mu), abs(params.nu)
+    return _lattice_table(abs(params.mu), abs(params.nu), params.N)
+
+
+@lru_cache(maxsize=64)
+def _lattice_table(abs_mu: float, abs_nu: float, n_pow: int) -> tuple[tuple[int, int, float], ...]:
     log_mu2 = 2.0 * math.log(abs_mu) if abs_mu else -math.inf
     log_nu2 = 2.0 * math.log(abs_nu) if abs_nu else -math.inf
     lf = log_factorial_value
     base = 2.0 * lf(n_pow)
-    for k in range(0 if abs_nu else n_pow, (n_pow if abs_mu else 0) + 1):
-        for l in range(min(n_pow - k, k) + 1):
-            yield k, l, (
-                base + (k * log_mu2 if k else 0.0) + ((n_pow - k) * log_nu2 if n_pow - k else 0.0)
-                - l * _LN4 - 2.0 * (lf(l) + lf(k - l) + lf(n_pow - k - l))
-            )
+    return tuple(
+        (k, l, (
+            base + (k * log_mu2 if k else 0.0) + ((n_pow - k) * log_nu2 if n_pow - k else 0.0)
+            - l * _LN4 - 2.0 * (lf(l) + lf(k - l) + lf(n_pow - k - l))
+        ))
+        for k in range(0 if abs_nu else n_pow, (n_pow if abs_mu else 0) + 1)
+        for l in range(min(n_pow - k, k) + 1)
+    )
 
 
 def expand_superposed_power(params: ModulationParams) -> NormalOrderedSeries:
@@ -98,20 +105,6 @@ def expand_superposed_power(params: ModulationParams) -> NormalOrderedSeries:
         )
         for k, l, log_t2 in _lattice(params)
     })
-
-
-def diagonal_sum(params: ModulationParams, extra) -> float:
-    """The diagonal-only sum behind every closed form,
-
-        sum_kl |t_kl|^2 extra(k, l),
-
-    with ``extra`` returning (log magnitude, sign) of the term's factor.
-    """
-    entries = []
-    for k, l, log_t2 in _lattice(params):
-        log_extra, sign = extra(k, l)
-        entries.append((log_t2 + log_extra, sign))
-    return signed_log_sum(entries).real
 
 
 @lru_cache(maxsize=None)

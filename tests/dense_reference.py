@@ -1,16 +1,18 @@
-"""Dense d x d references for the tests: ladder, number, identity and
-exp(-lam n̂) matrices, and a normal-ordered series rebuilt as a matrix.
+"""References for the tests: dense d x d ladder, number, identity and
+exp(-lam n̂) matrices, a normal-ordered series rebuilt as a matrix, and the
+closed-form Laguerre sum one order shift per lattice walk.
 
-The program works with banded contractions and never forms these; the tests
-hold its results against them.
+The program works with banded contractions and never forms these matrices,
+and it sums every order shift in one walk; the tests hold its results
+against these references.
 """
 
 import math
 
 import numpy as np
 
-from pmcs import fock
-from pmcs.specfun import log_factorial_value
+from pmcs import fock, weyl
+from pmcs.specfun import laguerre_table, log_factorial_value, signed_log_sum
 
 
 def ladder_ops(dim: int) -> tuple[fock.FockOperator, fock.FockOperator]:
@@ -74,3 +76,17 @@ def series_to_matrix(series, dim: int) -> fock.FockOperator:
                 continue
             mat[out, level] += coeff * _ladder_amplitude(level, n, m)
     return fock.FockOperator(mat, label="series")
+
+
+def laguerre_sum_one_shift(params, r2: float, shift: int) -> float:
+    """The closed-form lattice sum with the (N-k-l+shift)! L_{N-k-l+shift}(-r2)
+    factor for one shift, from its own Laguerre row in its own walk."""
+    log_r2 = math.log(r2) if r2 else -math.inf
+    top = params.N + shift
+    lag = laguerre_table(top, -r2)
+    entries = []
+    for k, l, log_t2 in weyl._lattice(params):
+        order = top - k - l
+        log_power = (k - l) * log_r2 if k - l else 0.0
+        entries.append((log_t2 + (log_power + log_factorial_value(order) + math.log(lag[order])), 1.0))
+    return signed_log_sum(entries).real

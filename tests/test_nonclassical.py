@@ -86,8 +86,9 @@ class TestMomentsPaper:
 
 
     @pytest.mark.parametrize("n_pow", [1, 2, 20])
-    def test_five_lattice_walks(self, monkeypatch, n_pow):
-        # one walk for the norm and one per shift 1..4; mu_j reuses the m-like sums
+    def test_two_lattice_walks(self, monkeypatch, n_pow):
+        # one walk for the norm and one for all four shifts; mu_j reuses the
+        # m-like sums, and both walks read one cached term table
         walks = []
         original = weyl._lattice
 
@@ -96,9 +97,11 @@ class TestMomentsPaper:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(weyl, "_lattice", spy)
+        weyl._lattice_table.cache_clear()
         params = ModulationParams(1 / 3, 2 / 3, n_pow)
         nc.moments_paper(params, 0.7, states.paper_norm_sq(params, 0.7))
-        assert len(walks) == 5
+        assert len(walks) == 2
+        assert weyl._lattice_table.cache_info().misses == 1
 
     @pytest.mark.parametrize(
         "m_like,mu",
@@ -107,7 +110,7 @@ class TestMomentsPaper:
     )
     def test_exact_stirling_weights(self, monkeypatch, m_like, mu):
         # mu_j = sum_i S(j, i) m_i with integer S(j, i): exact where the m_i are
-        monkeypatch.setattr(nc, "_laguerre_sum", lambda params, r2, shift: m_like[shift])
+        monkeypatch.setattr(nc, "_laguerre_sum", lambda params, r2, shifts: tuple(m_like[j] for j in shifts))
         got = nc.moments_paper(ModulationParams(1 / 3, 2 / 3, 2), 0.7, 1.0)
         assert got.m == tuple(m_like[j] for j in (1, 2, 3, 4))
         assert got.mu == mu

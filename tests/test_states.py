@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dense_reference
 from pmcs import fock, states
@@ -35,6 +35,31 @@ class TestPaperNormSq:
         assert got == pytest.approx(1.0, rel=1e-12)
 
 
+coefficient = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+
+
+def outcome(evaluate):
+    """Bit patterns of the returned floats, or the exception's type and text."""
+    try:
+        return [value.hex() for value in evaluate()]
+    except ValueError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+class TestFusedLaguerreSum:
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient, coefficient, st.integers(0, 32), st.one_of(st.just(0.0), st.floats(0.0, 1e4)))
+    @example(1 / 3, 2j / 3, 32, 1e4)
+    @example(0j, 1e3 + 0j, 32, 1e4)  # past the double range: both raise the same error
+    def test_fused_shifts_equal_one_walk_per_shift_bit_for_bit(self, mu, nu, n_pow, r2):
+        assume(n_pow == 0 or mu != 0 or nu != 0)
+        params = ModulationParams(mu, nu, n_pow)
+        for shifts in ((0,), (1, 2, 3, 4)):
+            fused = outcome(lambda: states._laguerre_sum(params, r2, shifts))
+            reference = outcome(lambda: [dense_reference.laguerre_sum_one_shift(params, r2, j) for j in shifts])
+            assert fused == reference
+
+
 class TestBuildState:
     def test_identity_power_returns_coherent(self):
         zeta = 0.8 - 0.2j
@@ -59,6 +84,11 @@ class TestBuildState:
     def test_degenerate_zero_state(self):
         with pytest.raises(DegenerateStateError):
             states.build_state(ModulationParams(1, 0, 1), 0.0)
+
+    @pytest.mark.parametrize("zeta", [complex(math.nan, 0), complex(1, math.inf)])
+    def test_non_finite_zeta_rejected(self, zeta):
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            states.build_state(ModulationParams(1, 1, 2), zeta)
 
     def test_tiny_norm_is_not_degenerate(self):
         # (mu r)^(2N) = (1/6)^64 = 1.6e-50: tiny, yet far inside the double range

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from pmcs import cli, nonclassical, states, sweeps
+from pmcs import cli, nonclassical, states, sweeps, weyl
 from pmcs.errors import ConfigError
 from pmcs.sweeps import GammaGrid, QuasiSpec, SweepConfig, ZetaGrid
 
@@ -257,6 +257,12 @@ class TestRows:
             assert [
                 (r.paper_value, r.oracle_value, r.rel_gap) for r in norm_rows
             ] == [(st.norm_sq_paper, st.norm_sq_oracle, st.discrepancy) for st in built]
+
+    def test_fig1_sweep_builds_one_lattice_table_per_power(self):
+        # fig1 has 12 radii at each of N = 2, 20 and one (|mu|, |nu|)
+        weyl._lattice_table.cache_clear()
+        sweeps.run_sweep(replace(sweeps.preset_config("fig1"), engine="paper"))
+        assert weyl._lattice_table.cache_info().misses == 2
 
     def test_squeeze_family_quantities(self):
         cfg = SweepConfig(
@@ -517,6 +523,24 @@ class TestCli:
         assert len(lines) == 6
         mid = lines[3].split(",")
         assert float(mid[0]) == 0.0 and float(mid[1]) == 0.0 and float(mid[2]) == -8.0
+
+    @pytest.mark.parametrize("command,named", [
+        (["state", "build", "--mu", "nan", "--nu", "1", "--N", "2", "--zeta-re", "1", "--zeta-im", "0"], "mu and nu"),
+        (["state", "build", "--mu", "1", "--nu", "1", "--N", "2", "--zeta-re", "nan", "--zeta-im", "0"], "zeta"),
+        (["wavefn", "dump", "--n", "3", "--xmin", "nan", "--xmax", "2", "--points", "5"], "--xmin"),
+        (["wavefn", "dump", "--n", "3", "--xmin", "-2", "--xmax", "inf", "--points", "5"], "--xmax"),
+    ], ids=["mu", "zeta", "xmin", "xmax"])
+    def test_non_finite_input_exits_2_naming_it(self, tmp_path, capsys, command, named):
+        out = tmp_path / "out.txt"
+        assert cli.main([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named} must be finite")
+        assert not out.exists()
+
+    def test_unparsable_complex_flag_shows_the_parser_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["weyl", "dump", "--N", "1", "--mu", "abc", "--nu", "1"])
+        assert exc.value.code == 2
+        assert "argument --mu: cannot parse complex value 'abc'" in capsys.readouterr().err
 
     def test_wavefn_invalid_level_exit_code(self, capsys):
         assert cli.main(["wavefn", "dump", "--n", "2", "--xmin", "-1", "--xmax", "1", "--points", "3"]) == 2

@@ -28,6 +28,30 @@ class TestModulationParams:
             weyl.ModulationParams(0, 0, 2)
         weyl.ModulationParams(0, 0, 0)  # N = 0 is the identity regardless
 
+    @pytest.mark.parametrize("mu,nu", [(math.nan, 1), (1, complex(0, math.inf)), (1, complex(math.nan, 0))])
+    def test_non_finite_coefficients_rejected(self, mu, nu):
+        with pytest.raises(ValueError, match="mu and nu must be finite"):
+            weyl.ModulationParams(mu, nu, 2)
+
+
+class TestLatticeTable:
+    def test_table_depends_only_on_moduli(self):
+        weyl._lattice_table.cache_clear()
+        first = weyl._lattice(weyl.ModulationParams(0.6, -0.8j, 5))
+        assert weyl._lattice(weyl.ModulationParams(-0.6j, 0.8, 5)) is first
+        assert weyl._lattice_table.cache_info().misses == 1
+        assert weyl._lattice_table.cache_info().maxsize == 64
+
+    def test_terms_in_lattice_order_with_their_weights(self):
+        mu, nu, n_pow = 0.5 - 0.3j, 1.1, 7
+        table = weyl._lattice(weyl.ModulationParams(mu, nu, n_pow))
+        assert isinstance(table, tuple)
+        assert [(k, l) for k, l, _ in table] == [(k, l) for k in range(8) for l in range(min(7 - k, k) + 1)]
+        f = math.factorial
+        for k, l, log_t2 in table:
+            t = f(n_pow) * abs(mu) ** k * abs(nu) ** (n_pow - k) / (2**l * f(l) * f(k - l) * f(n_pow - k - l))
+            assert math.exp(log_t2) == pytest.approx(t * t, rel=1e-13)
+
 
 class TestSuperposedPowerSeries:
     def test_empty_power(self):
