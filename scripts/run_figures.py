@@ -2,10 +2,12 @@
 """Regenerate the figure datasets from the built-in sweep presets.
 
 Writes one CSV per preset into the output directory and prints a short
-summary (row counts, error-row counts) for each.
+summary for each: row count, error-row count, path and the first 8 hex
+digits of the written file's sha256.
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 
@@ -30,7 +32,8 @@ def main() -> int:
         path = outdir / f"{name}.csv"
         path.write_text(sweeps.render(rows, cfg.family, cfg.format), encoding="utf-8", newline="")
         n_err = sum(1 for row in rows if row.error)
-        print(f"{name}: {len(rows)} rows ({n_err} with an error column) -> {path}")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:8]
+        print(f"{name}: {len(rows)} rows ({n_err} with an error column) -> {path} sha256 {digest}")
     return 0
 
 

@@ -145,14 +145,20 @@ def _cmd_sweep(args) -> int:
 def _cmd_wavefn_dump(args) -> int:
     import numpy as np
 
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
+    if not 2 <= args.points <= sweeps.MAX_GRID_POINTS:
+        raise ConfigError(f"--points must be in [2, {sweeps.MAX_GRID_POINTS}], got {args.points}")
     for flag, value in (("--xmin", args.xmin), ("--xmax", args.xmax)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
+    window = f"--xmin/--xmax window [{args.xmin:g}, {args.xmax:g}]"
+    if not math.isfinite(args.xmax - args.xmin):
+        raise ConfigError(f"{window}: its span overflows the double range")
     x = np.linspace(args.xmin, args.xmax, args.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # (2x^2+1)^2 = inf past |x| ~ 8e76 only zeroes its term
+        pot = wavefunctions.potential(x)
+    if not np.isfinite(pot).all():
+        raise ConfigError(f"{window}: V(x) overflows the double range")
     psi = wavefunctions.eigenfunction(args.n, x)
-    pot = wavefunctions.potential(x)
     lines = ["x,psi,V"]
     lines += [
         f"{format(xi, '.17g')},{format(pi_, '.17g')},{format(vi, '.17g')}"

@@ -5,17 +5,19 @@ coherent state.
 Every quantity that has a closed form is implemented twice: the ``*_paper``
 path evaluates the closed-form Laguerre sums literally (including their
 diagonal-only structure), the oracle path works on the truncated state
-vector.  a and a† are one-off-diagonal, so the oracle's moments and
-squeezing quantities are O(d) sums over populations |c_n|^2 or neighbouring
-amplitudes, equal to the dense truncated-space products; the
-quasi-probability is a population sum in the displaced frame, with no d x d
-displacement, evaluated for a state point's whole gamma grid in one
-row-batched pass (``quasiprob_grid``; ``quasiprob_oracle`` is its one-gamma
-case).  The *_paper functions take the closed-form squared norm from
-the caller (a sweep reads it from the state it built) instead of walking its
-lattice again; ``moments_paper`` walks it once for all four moments.  The
-oracle is authoritative; gaps between the two are data, not bugs, and are
-surfaced by the sweep layer.
+vector.  Each indicator is a function of its defining moments, which both
+paths feed: ``a3`` of the four factorial moments (``moments_paper`` or
+``moments_oracle``), ``uncertainty_product`` of (I1, I2).  a and a† are
+one-off-diagonal, so the oracle's moments and squeezing identities are O(d)
+sums over populations |c_n|^2 or neighbouring amplitudes, equal to the dense
+truncated-space products; the quasi-probability is a population sum in the
+displaced frame, with no d x d displacement, evaluated for a state point's
+whole gamma grid in one row-batched pass (``quasiprob_grid``;
+``quasiprob_oracle`` is its one-gamma case).  The *_paper functions take the
+closed-form squared norm from the caller (a sweep reads it from the state it
+built) instead of walking its lattice again; ``moments_paper`` walks it once
+for all four moments.  The oracle is authoritative; gaps between the two are
+data, not bugs, and are surfaced by the sweep layer.
 """
 
 from __future__ import annotations
@@ -46,15 +48,6 @@ class UndefinedRatioError(PmcsError, ArithmeticError):
 
 
 @dataclass(frozen=True)
-class MomentSet:
-    """m_j = <a†^j a^j> and mu_j = <(a†a)^j> for j = 1..4."""
-
-    m: tuple[float, float, float, float]
-    mu: tuple[float, float, float, float]
-    source: str  # "paper_formula" | "oracle"
-
-
-@dataclass(frozen=True)
 class A3Result:
     det_m: float
     det_mu: float
@@ -71,16 +64,6 @@ class QuasiProbParams:
         object.__setattr__(self, "s", float(self.s))
 
 
-def _real_part(value: complex, what: str, tol: float = 1e-9) -> float:
-    if abs(value.imag) > tol * max(1.0, abs(value.real)):
-        raise ConvergenceError(f"{what} has non-negligible imaginary part {value.imag:.3e}")
-    return value.real
-
-
-def _populations(vec: fock.FockVector) -> np.ndarray:
-    return np.abs(vec.amplitudes) ** 2
-
-
 def _check_moment_headroom(pop: np.ndarray, power: int, what: str) -> None:
     """Refuse a diagnostic whose n^power-weighted population reaches the top
     decile of levels: there the truncated sums stop approximating the
@@ -90,79 +73,59 @@ def _check_moment_headroom(pop: np.ndarray, power: int, what: str) -> None:
         raise ConvergenceError(f"{what} weight leaks into the top decile at dim {pop.size}")
 
 
-def moments_oracle(state: PMCState) -> MomentSet:
-    """All eight expectations as sums over the populations p_n = |c_n|^2:
-
-        m_j = sum_n n!/(n-j)! p_n,    mu_j = sum_n n^j p_n
-
-    (a†^j a^j and (a†a)^j are diagonal, also in the truncated space).
-    """
-    pop = _populations(state.vector)
+def moments_oracle(state: PMCState) -> tuple[float, float, float, float]:
+    """The factorial moments m_j = <a†^j a^j> = sum_n n!/(n-j)! p_n, j = 1..4,
+    over the populations p_n = |c_n|^2 (a†^j a^j is diagonal, also in the
+    truncated space)."""
+    pop = np.abs(state.vector.amplitudes) ** 2
     _check_moment_headroom(pop, 4, "fourth-moment")
     n = np.arange(pop.size, dtype=float)
     falling = np.ones_like(n)
-    power = np.ones_like(n)
-    m, mu = [], []
+    m = []
     for j in (1, 2, 3, 4):
         falling = falling * (n - (j - 1))
-        power = power * n
-        m.append(float(_real_part(np.dot(falling, pop), f"m_{j}")))
-        mu.append(float(_real_part(np.dot(power, pop), f"mu_{j}")))
-    return MomentSet(m=tuple(m), mu=tuple(mu), source="oracle")
+        m.append(float(np.dot(falling, pop)))
+    return tuple(m)
 
 
-def moments_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> MomentSet:
-    """Verbatim closed-form moments, normalized by ``norm_sq`` (the value of
-    ``states.paper_norm_sq(params, zeta)``).
-
-    m_j is the Laguerre sum at order shift j, and mu_j = sum_i S(j, i) m_i
-    with the exact Stirling numbers of ``weyl.expand_number_power(j)``, the
-    normal-ordered form of (a†a)^j.  Both inherit the diagonal-only structure
-    of the closed-form norm.  The four m-like sums (shifts 1..4) come from
-    one lattice walk.
+def moments_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> tuple[float, float, float, float]:
+    """Verbatim closed-form moment sums, normalized by ``norm_sq`` (the value
+    of ``states.paper_norm_sq(params, zeta)``): the Laguerre sums at order
+    shifts 1..4, from one lattice walk.  The paper reads them as m_j and
+    they enter ``a3`` as such, but they inherit the diagonal-only structure
+    of the closed-form norm and their shift-j Laguerre factor is
+    anti-normally ordered: in the exact regimes (mu = 0, nu = 0 or N = 0)
+    they equal <a^j a†^j>, not <a†^j a^j>.
     """
     r2 = abs(complex(zeta)) ** 2
-    m_like = dict(zip((1, 2, 3, 4), _laguerre_sum(params, r2, (1, 2, 3, 4))))
-    m = tuple(m_like[j] / norm_sq for j in (1, 2, 3, 4))
-    mu = tuple(
-        sum(c.real * m_like[i] for (i, _), c in expand_number_power(j).terms.items()) / norm_sq
-        for j in (1, 2, 3, 4)
-    )
-    return MomentSet(m=m, mu=mu, source="paper_formula")
+    return tuple(v / norm_sq for v in _laguerre_sum(params, r2, (1, 2, 3, 4)))
 
 
-def _det3(mat) -> float:
-    return (
-        mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-        - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-        + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-    )
+def _hankel_det(x1: float, x2: float, x3: float, x4: float) -> float:
+    """det [[1, x1, x2], [x1, x2, x3], [x2, x3, x4]], by the first row."""
+    return (x2 * x4 - x3 * x3) - x1 * (x1 * x4 - x3 * x2) + x2 * (x1 * x3 - x2 * x2)
 
 
-def a3(moments: MomentSet) -> A3Result:
-    """A3 = det m / (det mu - det m) from the two 3x3 moment matrices."""
-    m1, m2, m3, m4 = moments.m
-    u1, u2, u3, u4 = moments.mu
-    det_m = _det3([[1.0, m1, m2], [m1, m2, m3], [m2, m3, m4]])
-    det_mu = _det3([[1.0, u1, u2], [u1, u2, u3], [u2, u3, u4]])
+def a3(m) -> A3Result:
+    """A3 = det m / (det mu - det m) from the Hankel matrices of the factorial
+    moments m = (m_1, .., m_4) and of the number moments mu_j = <(a†a)^j> =
+    sum_i S(j, i) m_i, with the exact Stirling numbers of
+    ``weyl.expand_number_power(j)``, the normal-ordered form of (a†a)^j."""
+    mu = [sum(c.real * m[i - 1] for (i, _), c in expand_number_power(j).terms.items()) for j in (1, 2, 3, 4)]
+    det_m, det_mu = _hankel_det(*m), _hankel_det(*mu)
     denom = det_mu - det_m
     if abs(denom) < 1e-12:
         raise UndefinedRatioError(det_m, det_mu)
     return A3Result(det_m=det_m, det_mu=det_mu, a3=det_m / denom)
 
 
-def _ladder_expectations(vec: fock.FockVector):
-    """<a>, <a†>, <a^2>, <a†^2>, <a†a> and the truncated <a a†> as shifted
-    vdots over neighbouring amplitudes.  The truncated <a a†> drops the top
-    level (a† maps it out of the space), exactly as the d x d product does."""
+def _ladder_expectations(vec: fock.FockVector) -> tuple[complex, complex, float]:
+    """<a>, <a^2> and <a†a> as shifted vdots over neighbouring amplitudes."""
     c = vec.amplitudes
     n = np.arange(c.size, dtype=float)
-    pop = np.abs(c) ** 2
     ea = complex(np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]))
     ea2 = complex(np.vdot(c[:-2], np.sqrt(n[2:] * n[1:-1]) * c[2:]))
-    en = float(np.dot(n, pop))
-    eaad = float(np.dot(n[1:], pop[:-1]))
-    return ea, ea.conjugate(), ea2, ea2.conjugate(), en, eaad
+    return ea, ea2, float(np.dot(n, np.abs(c) ** 2))
 
 
 def squeezing_identities(state: PMCState) -> tuple[float, float]:
@@ -174,40 +137,21 @@ def squeezing_identities(state: PMCState) -> tuple[float, float]:
     I1 < 0 flags squeezing in X = (a + a†)/sqrt(2) and I2 < 0 in
     Y = i(a† - a)/sqrt(2); algebraically I_k = 2 (Delta q)^2 - 1 for the
     matching quadrature q.  Second moments weight the occupation by n^2, so
-    the top-decile headroom test uses that weight.
+    the top-decile headroom test uses that weight.  Both are real: every
+    term comes with its conjugate.
     """
     vec = state.vector
-    _check_moment_headroom(_populations(vec), 2, "second-moment")
-    ea, ead, ea2, ead2, en, _ = _ladder_expectations(vec)
-    en = _real_part(en, "<n>")
+    _check_moment_headroom(np.abs(vec.amplitudes) ** 2, 2, "second-moment")
+    ea, ea2, en = _ladder_expectations(vec)
+    ead, ead2 = ea.conjugate(), ea2.conjugate()
     i1 = ea2 + ead2 - ea**2 - ead**2 - 2.0 * ea * ead + 2.0 * en
     i2 = -ea2 - ead2 + ea**2 + ead**2 - 2.0 * ea * ead + 2.0 * en
-    return _real_part(i1, "I1"), _real_part(i2, "I2")
+    return i1.real, i2.real
 
 
-def quadrature_variances(state: PMCState) -> tuple[float, float]:
-    """((Delta X)^2, (Delta Y)^2) from the ladder expectations, with the
-    truncated-space products of X = (a + a†)/sqrt(2) and Y = i(a† - a)/sqrt(2):
-
-        <X^2> = (<a^2> + <a†^2> + <a a†> + <a†a>) / 2
-        <Y^2> = (<a a†> + <a†a> - <a^2> - <a†^2>) / 2
-    """
-    vec = state.vector
-    _check_moment_headroom(_populations(vec), 2, "second-moment")
-    ea, ead, ea2, ead2, en, eaad = _ladder_expectations(vec)
-    x = ((ea + ead) / math.sqrt(2.0), (ea2 + ead2 + eaad + en) / 2.0)
-    y = (1j * (ead - ea) / math.sqrt(2.0), (eaad + en - ea2 - ead2) / 2.0)
-    out = []
-    for label, (mean, mean_sq) in (("X", x), ("Y", y)):
-        mean = _real_part(mean, f"<{label}>")
-        mean_sq = _real_part(mean_sq, f"<{label}^2>")
-        out.append(mean_sq - mean**2)
-    return out[0], out[1]
-
-
-def uncertainty_product(state: PMCState) -> float:
-    vx, vy = quadrature_variances(state)
-    return vx * vy
+def uncertainty_product(i1: float, i2: float) -> float:
+    """(Delta X)^2 (Delta Y)^2 = (1 + I1)(1 + I2)/4, from I_k = 2 (Delta q)^2 - 1."""
+    return (1.0 + i1) * (1.0 + i2) / 4.0
 
 
 GRID_ROWS = 64  # gammas per array pass: bounds the working set at 64 x 256 levels

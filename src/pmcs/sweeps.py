@@ -99,22 +99,18 @@ class SweepConfig:
             raise ConfigError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        if self.zeta.r_steps < 1:
-            raise ConfigError(f"r_steps must be >= 1, got {self.zeta.r_steps}")
-        if not self.mu or not self.nu or not self.n_values:
-            raise ConfigError("mu, nu and N lists must be nonempty")
         for n in self.n_values:
             if not 0 <= n <= MAX_POWER:
                 raise ConfigError(f"N={n} outside [0, {MAX_POWER}]")
-        if self.family == "quasiprob":
-            if self.quasi is None:
-                raise ConfigError("quasiprob sweeps need a 'quasi' block (s and gamma grid)")
-            if self.quasi.gamma.r_steps < 1:
-                raise ConfigError("gamma grid needs r_steps >= 1")
+        if self.family == "quasiprob" and self.quasi is None:
+            raise ConfigError("quasiprob sweeps need a 'quasi' block (s and gamma grid)")
         sizes = {"mu": len(self.mu), "nu": len(self.nu), "N": len(self.n_values)}
         grids = [("zeta", self.zeta)] + ([("quasi.gamma", self.quasi.gamma)] if self.quasi is not None else [])
         for name, grid in grids:
             sizes.update({f"{name} radii": grid.r_steps, f"{name}.thetas": len(grid.thetas)})
+        empty = [f"{name} ({size})" for name, size in sizes.items() if size < 1]
+        if empty:
+            raise ConfigError(f"empty grid: no points along {', '.join(empty)}")
         points = math.prod(sizes.values())  # counted before any radius list is built
         if points > MAX_GRID_POINTS:
             grid = " x ".join(f"{size} {name}" for name, size in sizes.items())
@@ -191,7 +187,7 @@ def _one_entry(fn):
 
 def _squeeze_oracle(state: states.PMCState) -> tuple[float, float, float]:
     i1, i2 = nonclassical.squeezing_identities(state)
-    return i1, i2, nonclassical.uncertainty_product(state)
+    return i1, i2, nonclassical.uncertainty_product(i1, i2)
 
 
 def _quasiprob_oracle(state: states.PMCState, gammas: list[complex], s: float) -> list:

@@ -46,10 +46,15 @@ def norm_const(n: int) -> float:
 
 
 def eigenfunction(n: int, x):
-    """psi_n(x) = N_n P_n(x) exp(-x^2/2)/(1 + 2x^2)."""
+    """psi_n(x) = N_n P_n(x) exp(-x^2/2)/(1 + 2x^2); 0 where the Gaussian
+    underflows, P_n evaluated only where it does not (P_n itself can overflow
+    there)."""
     _check_level(n)
     x = np.asarray(x, dtype=float)
-    out = norm_const(n) * np.asarray(p_hermite_eval(n, x)) * np.exp(-(x**2) / 2.0) / (1.0 + 2.0 * x**2)
+    gauss = np.exp(-(x**2) / 2.0)
+    live = gauss != 0.0
+    out = np.zeros_like(x)
+    out[live] = norm_const(n) * p_hermite_eval(n, x[live]) * gauss[live] / (1.0 + 2.0 * x[live] ** 2)
     return out.item() if out.ndim == 0 else out
 
 

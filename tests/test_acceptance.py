@@ -143,7 +143,7 @@ def test_criterion_06_squeezing_figure_regime():
             i1, i2 = nc.squeezing_identities(state)
             i1_values.append((n_pow, r, i1))
             i2_values.append((n_pow, r, i2))
-            product_ok = product_ok and nc.uncertainty_product(state) >= 0.25 - 1e-10
+            product_ok = product_ok and nc.uncertainty_product(i1, i2) >= 0.25 - 1e-10
     assert product_ok  # the uncertainty bound holds regardless
     i2_all_negative = all(v < 0 for _, _, v in i2_values)
     i1_all_positive = all(v > 0 for _, _, v in i1_values)

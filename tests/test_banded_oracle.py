@@ -6,6 +6,7 @@ independent d x d computation.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import dense_reference
 from pmcs import fock, nonclassical as nc, states, sweeps
 from pmcs.errors import ConvergenceError
+from pmcs.nonclassical import UndefinedRatioError
 from pmcs.states import PMCState
 from pmcs.sweeps import GammaGrid, QuasiSpec, SweepConfig, ZetaGrid
 from pmcs.weyl import ModulationParams
@@ -60,6 +62,15 @@ def close(got, ref, scale=1.0):
     return got == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
 
 
+def a3_dets(m):
+    """(det m, det mu) of ``nc.a3``, also where the ratio is undefined."""
+    try:
+        result = nc.a3(m)
+    except UndefinedRatioError as exc:
+        return exc.det_m, exc.det_mu
+    return result.det_m, result.det_mu
+
+
 class TestAgainstDense:
     @settings(max_examples=60, deadline=None)
     @given(normalized_amplitudes(support=0.5), coefficient, coefficient, st.integers(0, 16))
@@ -77,18 +88,23 @@ class TestAgainstDense:
     @settings(max_examples=60, deadline=None)
     @given(normalized_amplitudes(support=0.5))
     def test_moments(self, amp):
+        # m_j against the dense a†^j a^j; a3's det mu, from the Stirling rows,
+        # against the Hankel determinant of the dense (a†a)^j
         a, ad, expect = dense(amp)
         got = nc.moments_oracle(state_of(amp))
-        n_op = ad @ a
         for j in (1, 2, 3, 4):
             aj = np.linalg.matrix_power(a, j)
-            scale = float(amp.size) ** j
-            assert close(got.m[j - 1], expect(aj.conj().T @ aj).real, scale)
-            assert close(got.mu[j - 1], expect(np.linalg.matrix_power(n_op, j)).real, scale)
+            assert close(got[j - 1], expect(aj.conj().T @ aj).real, float(amp.size) ** j)
+        mu = [1.0] + [expect(np.linalg.matrix_power(ad @ a, j)).real for j in (1, 2, 3, 4)]
+        hankel = np.array([mu[i:i + 3] for i in range(3)])
+        assert close(a3_dets(got)[1], np.linalg.det(hankel), np.prod(np.abs(hankel).max(axis=1)))
 
     @settings(max_examples=60, deadline=None)
-    @given(normalized_amplitudes(support=0.5))
+    @given(normalized_amplitudes())
     def test_squeezing_and_variances(self, amp):
+        # Full support, top level included.  The dense truncated variances are
+        # (1 + I)/2 less the top-level term d p_{d-1}/2: the truncated a a†
+        # drops it, as a† maps |d-1> out of the space.
         a, ad, expect = dense(amp)
         ea, ead, ea2, ead2, en = (expect(m) for m in (a, ad, a @ a, ad @ ad, ad @ a))
         i1 = ea2 + ead2 - ea**2 - ead**2 - 2.0 * ea * ead + 2.0 * en
@@ -97,20 +113,21 @@ class TestAgainstDense:
         y = 1j * (ad - a) / math.sqrt(2.0)
         vx, vy = ((expect(q @ q) - expect(q) ** 2).real for q in (x, y))
 
-        state = state_of(amp)
+        with mock.patch.object(nc, "_check_moment_headroom", lambda *args: None):
+            got_i1, got_i2 = nc.squeezing_identities(state_of(amp))
         scale = float(amp.size)
-        got_i1, got_i2 = nc.squeezing_identities(state)
         assert close(got_i1, i1.real, scale) and close(got_i2, i2.real, scale)
-        got_vx, got_vy = nc.quadrature_variances(state)
-        assert close(got_vx, vx, scale) and close(got_vy, vy, scale)
+        top = amp.size * abs(amp[-1]) ** 2 / 2.0
+        assert close(vx + top, (1.0 + got_i1) / 2.0, scale) and close(vy + top, (1.0 + got_i2) / 2.0, scale)
+        assert close(nc.uncertainty_product(got_i1, got_i2), (vx + top) * (vy + top), scale**2)
 
     @settings(max_examples=60, deadline=None)
     @given(normalized_amplitudes())
     def test_ladder_expectations_keep_truncation(self, amp):
-        # Full support, top level included: <a a†> must drop the top level as
-        # the truncated product a @ a† does (a† maps |d-1> out of the space).
+        # Full support, top level included: the shifted vdots equal the
+        # truncated d x d products.
         a, ad, expect = dense(amp)
-        ref = [expect(m) for m in (a, ad, a @ a, ad @ ad, ad @ a, a @ ad)]
+        ref = [expect(m) for m in (a, a @ a, ad @ a)]
         got = nc._ladder_expectations(fock.FockVector(amp))
         for g, r in zip(got, ref):
             assert close(complex(g), r, float(amp.size))
@@ -122,9 +139,8 @@ class TestHeadroom:
         amp[0] = 1.0
         amp[38] = 1e-4
         state = state_of(amp / np.linalg.norm(amp))
-        for diagnostic in (nc.squeezing_identities, nc.quadrature_variances, nc.uncertainty_product):
-            with pytest.raises(ConvergenceError, match="second-moment"):
-                diagnostic(state)
+        with pytest.raises(ConvergenceError, match="second-moment"):
+            nc.squeezing_identities(state)
 
     def test_moments_refuse_top_decile_weight(self):
         amp = np.zeros(40, dtype=complex)
@@ -183,6 +199,26 @@ class TestWorkCounts:
             "expectation": 0, "paper_norm_sq": points,
             "displacement": 0, "density_and_trace": 0, "eigh": 0,
         }
+
+    def test_squeeze_point_makes_one_ladder_pass(self, monkeypatch):
+        # I1, I2 and the uncertainty product from one headroom check and one
+        # pass over the amplitudes
+        calls = {"_ladder_expectations": 0, "_check_moment_headroom": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nc, name, counting(name, getattr(nc, name)))
+        cfg = SweepConfig(family="squeeze", mu=(1 / 3,), nu=(2 / 3,), n_values=(2,), zeta=ZetaGrid(1.0, 1.0, 1))
+        rows = sweeps.run_sweep(cfg)
+        assert [row.quantity for row in rows] == ["norm_sq", "I1", "I2", "uncertainty_product"]
+        assert not any(row.error for row in rows)
+        assert calls == {"_ladder_expectations": 1, "_check_moment_headroom": 1}
 
     def test_quasiprob_sweep_makes_one_grid_call_per_point(self, monkeypatch):
         cfg = SweepConfig(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_reference
 from pmcs import nonclassical as nc, states, weyl
 from pmcs.nonclassical import QuasiProbParams, UndefinedRatioError
 from pmcs.weyl import ModulationParams
@@ -23,72 +24,74 @@ def logical_fock_state(n):
 class TestMomentsOracle:
     def test_coherent_normal_moments(self):
         zeta = 1.1 - 0.5j
-        ms = nc.moments_oracle(coherent_state_wrapper(zeta))
-        for j, value in enumerate(ms.m, start=1):
+        m = nc.moments_oracle(coherent_state_wrapper(zeta))
+        for j, value in enumerate(m, start=1):
             assert value == pytest.approx(abs(zeta) ** (2 * j), rel=1e-9)
 
     def test_fock_two_moments(self):
-        ms = nc.moments_oracle(logical_fock_state(2))
-        assert ms.m == pytest.approx((2.0, 2.0, 0.0, 0.0), abs=1e-12)
-        assert ms.mu == pytest.approx((2.0, 4.0, 8.0, 16.0), abs=1e-11)
+        m = nc.moments_oracle(logical_fock_state(2))
+        assert m == pytest.approx((2.0, 2.0, 0.0, 0.0), abs=1e-12)
+        # mu = (2, 4, 8, 16) is rank one: det mu = 0, det m = -8, A3 = -1
+        result = nc.a3(m)
+        assert abs(result.det_mu) <= 1e-11
+        assert result.det_m == pytest.approx(-8.0, rel=1e-12)
+        assert result.a3 == pytest.approx(-1.0, abs=1e-12)
 
     def test_vacuum_moments(self):
-        ms = nc.moments_oracle(coherent_state_wrapper(0.0))
-        assert ms.m == pytest.approx((0.0,) * 4, abs=1e-14)
-        assert ms.mu == pytest.approx((0.0,) * 4, abs=1e-14)
+        assert nc.moments_oracle(coherent_state_wrapper(0.0)) == pytest.approx((0.0,) * 4, abs=1e-14)
 
     def test_first_moments_agree(self):
-        ms = nc.moments_oracle(states.build_state(ModulationParams(1 / 3, 2 / 3, 2), 1.2))
-        assert ms.m[0] == pytest.approx(ms.mu[0], rel=1e-12)
-        assert ms.mu[1] >= ms.mu[0] ** 2 - 1e-12  # variance nonnegativity
-        assert ms.source == "oracle"
+        state = states.build_state(ModulationParams(1 / 3, 2 / 3, 2), 1.2)
+        m = nc.moments_oracle(state)
+        pop = np.abs(state.vector.amplitudes) ** 2
+        assert m[0] == pytest.approx(float(np.dot(np.arange(pop.size), pop)), rel=1e-12)  # m_1 = <n>
+        assert m[1] + m[0] >= m[0] ** 2 - 1e-12  # variance nonnegativity: mu_2 = m_2 + m_1
+        assert all(isinstance(v, float) for v in m)
+
+
+def anti_normal(m):
+    """<a^j a†^j> = sum_k C(j, k)^2 k! m_{j-k} (m_0 = 1) from the factorial
+    moments m_j = <a†^j a^j>, j = 1..4; every term is nonnegative."""
+    m = (1.0,) + tuple(m)
+    return tuple(sum(math.comb(j, k) ** 2 * math.factorial(k) * m[j - k] for k in range(j + 1)) for j in (1, 2, 3, 4))
 
 
 class TestMomentsPaper:
     def test_first_moment_consistency(self):
-        # j = 1: both closed-form sums reduce to the same single term
+        # mu_1 = m_1 and mu_j = sum_i S(j, i) m_i: a3's det mu on the closed
+        # form's sums is the Hankel determinant of those number moments
         params = ModulationParams(1 / 3, 2 / 3, 2)
-        ms = nc.moments_paper(params, 1.2, states.paper_norm_sq(params, 1.2))
-        assert ms.m[0] == pytest.approx(ms.mu[0], rel=1e-12)
-        assert ms.source == "paper_formula"
+        m = nc.moments_paper(params, 1.2, states.paper_norm_sq(params, 1.2))
+        mu = [sum(w * m[i] for i, w in enumerate(STIRLING2[j])) for j in (1, 2, 3, 4)]
+        assert mu[0] == m[0]
+        hankel = np.array([([1.0] + mu)[i:i + 3] for i in range(3)])
+        assert nc.a3(m).det_mu == pytest.approx(float(np.linalg.det(hankel)), rel=1e-12)
 
-    def test_vacuum_probe_recorded_not_asserted(self):
-        # The closed-form moment expression does not reduce to the coherent moments
-        # even at N = 0: at zeta = 0 it returns j! where the oracle gives 0.
-        # The gap is a property of the closed-form expression; record it.
-        params = ModulationParams(0, 1, 0)
-        ms = nc.moments_paper(params, 0.0, states.paper_norm_sq(params, 0.0))
-        oracle = nc.moments_oracle(coherent_state_wrapper(0.0))
-        gaps = [abs(p - o) for p, o in zip(ms.m, oracle.m)]
-        assert ms.m == pytest.approx(tuple(float(math.factorial(j)) for j in (1, 2, 3, 4)), rel=1e-12)
-        warnings.warn(
-            f"closed-form moments at N=0, zeta=0 give {ms.m} vs oracle {oracle.m} "
-            f"(diagonal-only structure); gaps {gaps} recorded, not asserted"
-        )
-
-    def test_photon_added_regime_report(self):
-        rows = []
-        for n_pow in (1, 2, 3):
-            for r in (0.5, 1.0, 2.0):
-                params = ModulationParams(0, 1, n_pow)
-                paper = nc.moments_paper(params, r, states.paper_norm_sq(params, r))
-                oracle = nc.moments_oracle(states.build_state(params, r))
-                gap = max(
-                    abs(p - o) / max(abs(o), 1e-300) for p, o in zip(paper.m, oracle.m)
-                )
-                rows.append((n_pow, r, gap))
-        worst = max(g for _, _, g in rows)
-        if worst > 1e-6:
-            warnings.warn(
-                "closed-form moments deviate from the oracle even in the "
-                f"photon-added regime (worst rel gap {worst:.3e}); recorded, not asserted"
-            )
-
+    @pytest.mark.parametrize(
+        "params,zetas",
+        [
+            (ModulationParams(0, 1, 0), (0.0, 0.7, 1.5, 3.0)),
+            (ModulationParams(0, 1, 1), (0.5, 1.0, 2.0)),
+            (ModulationParams(0, 1, 2), (0.5, 1.0, 2.0)),
+            (ModulationParams(0, 0.7j, 3), (0.5, 1.0 - 1.0j, 2.0)),
+            (ModulationParams(1, 0, 2), (0.5, 1.0, 2.0)),
+            (ModulationParams(0.6, 0, 3), (1.3, 0.8j, 2.5)),
+        ],
+        ids=["N0", "added-1", "added-2", "added-3", "subtracted-2", "subtracted-3"],
+    )
+    def test_sums_are_anti_normal_in_the_exact_regimes(self, params, zetas):
+        # Where the closed form is exact (mu = 0, nu = 0 or N = 0) its shift-j
+        # sums are <a^j a†^j>, not the m_j = <a†^j a^j> that a3 reads them as
+        # (at N = 0, zeta = 0 they are j!, where every m_j is 0).
+        for zeta in zetas:
+            paper = nc.moments_paper(params, zeta, states.paper_norm_sq(params, zeta))
+            oracle = nc.moments_oracle(states.build_state(params, zeta))
+            assert paper == pytest.approx(anti_normal(oracle), rel=1e-12)
 
     @pytest.mark.parametrize("n_pow", [1, 2, 20])
     def test_two_lattice_walks(self, monkeypatch, n_pow):
-        # one walk for the norm and one for all four shifts; mu_j reuses the
-        # m-like sums, and both walks read one cached term table
+        # one walk for the norm and one for all four shifts; both walks read
+        # one cached term table
         walks = []
         original = weyl._lattice
 
@@ -102,19 +105,6 @@ class TestMomentsPaper:
         nc.moments_paper(params, 0.7, states.paper_norm_sq(params, 0.7))
         assert len(walks) == 2
         assert weyl._lattice_table.cache_info().misses == 1
-
-    @pytest.mark.parametrize(
-        "m_like,mu",
-        [({1: 0.0, 2: 0.0, 3: 0.0, 4: 0.7}, (0.0, 0.0, 0.0, 0.7)), ({1: 1.0, 2: 2.0, 3: 4.0, 4: 8.0}, (1.0, 3.0, 11.0, 47.0))],
-        ids=["shift-4-only", "powers-of-two"],
-    )
-    def test_exact_stirling_weights(self, monkeypatch, m_like, mu):
-        # mu_j = sum_i S(j, i) m_i with integer S(j, i): exact where the m_i are
-        monkeypatch.setattr(nc, "_laguerre_sum", lambda params, r2, shifts: tuple(m_like[j] for j in shifts))
-        got = nc.moments_paper(ModulationParams(1 / 3, 2 / 3, 2), 0.7, 1.0)
-        assert got.m == tuple(m_like[j] for j in (1, 2, 3, 4))
-        assert got.mu == mu
-
 
 def exact_laguerre(n, x):
     """L_n(x) = sum_i C(n, i) (-x)^i / i! in exact rationals."""
@@ -140,28 +130,33 @@ def exact_m_like(mu2, nu2, n_pow, r2, shift):
 STIRLING2 = {1: (1,), 2: (1, 1), 3: (1, 3, 1), 4: (1, 7, 6, 1)}
 
 
+def hankel_det(x1, x2, x3, x4):
+    """det [[1, x1, x2], [x1, x2, x3], [x2, x3, x4]], exact on Fractions."""
+    return x2 * x4 - x3 * x3 - x1 * (x1 * x4 - x3 * x2) + x2 * (x1 * x3 - x2 * x2)
+
+
 class TestExactGolden:
-    """Norm and moments at mu = 1/3, nu = 2/3 against exact rational sums,
-    independent of double rounding; mu_j = sum_i S(j, i) m_i."""
+    """Norm, moments and A3 at mu = 1/3, nu = 2/3 against exact rational
+    sums, independent of double rounding; mu_j = sum_i S(j, i) m_i."""
 
     @pytest.mark.parametrize("n_pow", [1, 2, 3])
     @pytest.mark.parametrize("zeta", [Fraction(1), Fraction(1, 2)], ids=["1", "1/2"])
     def test_closed_forms_match_rationals(self, n_pow, zeta):
         mu2, nu2 = Fraction(1, 9), Fraction(4, 9)
         nsq = exact_m_like(mu2, nu2, n_pow, zeta**2, 0)
-        m_like = {j: exact_m_like(mu2, nu2, n_pow, zeta**2, j) for j in (1, 2, 3, 4)}
-        m = [m_like[j] / nsq for j in (1, 2, 3, 4)]
-        mu = [
-            sum(s * m_like[i] for i, s in enumerate(STIRLING2[j], start=1)) / nsq
-            for j in (1, 2, 3, 4)
-        ]
+        m = [exact_m_like(mu2, nu2, n_pow, zeta**2, j) / nsq for j in (1, 2, 3, 4)]
+        mu = [sum(s * m[i] for i, s in enumerate(STIRLING2[j])) for j in (1, 2, 3, 4)]
+        det_m, det_mu = hankel_det(*m), hankel_det(*mu)
 
         params = ModulationParams(1 / 3, 2 / 3, n_pow)
         norm_sq = states.paper_norm_sq(params, float(zeta))
         assert norm_sq == pytest.approx(float(nsq), rel=1e-13)
         got = nc.moments_paper(params, float(zeta), norm_sq)
-        assert got.m == pytest.approx([float(v) for v in m], rel=1e-13)
-        assert got.mu == pytest.approx([float(v) for v in mu], rel=1e-13)
+        assert got == pytest.approx([float(v) for v in m], rel=1e-13)
+        result = nc.a3(got)
+        assert result.det_m == pytest.approx(float(det_m), rel=1e-13)
+        assert result.det_mu == pytest.approx(float(det_mu), rel=1e-13)
+        assert result.a3 == pytest.approx(float(det_m / (det_mu - det_m)), rel=1e-13)
 
 
 class TestA3:
@@ -181,6 +176,14 @@ class TestA3:
             nc.a3(nc.moments_oracle(coherent_state_wrapper(0.0)))
         assert err.value.det_m == pytest.approx(0.0, abs=1e-12)
         assert err.value.det_mu == pytest.approx(0.0, abs=1e-12)
+
+    def test_exact_stirling_weights(self):
+        # mu_j = sum_i S(j, i) m_i with integer S(j, i): m = (1, 2, 4, 8) gives
+        # mu = (1, 3, 11, 47) and both determinants exactly
+        result = nc.a3((1.0, 2.0, 4.0, 8.0))
+        assert result.det_mu == hankel_det(1, 3, 11, 47) == 12
+        assert result.det_m == hankel_det(1, 2, 4, 8) == 0
+        assert result.a3 == 0.0
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
     def test_modulated_states_nonclassical_window(self, r):
@@ -220,21 +223,27 @@ class TestSqueezing:
         ],
     )
     def test_identities_match_variances(self, params, zeta):
+        # I_k = 2 (Delta q)^2 - 1 against the dense truncated variances, whose
+        # a a† drops the top level: they are (1 + I)/2 less d p_{d-1}/2
         state = states.build_state(params, zeta)
         i1, i2 = nc.squeezing_identities(state)
-        vx, vy = nc.quadrature_variances(state)
-        assert i1 == pytest.approx(2.0 * vx - 1.0, abs=1e-10)
-        assert i2 == pytest.approx(2.0 * vy - 1.0, abs=1e-10)
+        amp = state.vector.amplitudes
+        a, ad = (op.matrix for op in dense_reference.ladder_ops(amp.size))
+        top = amp.size * abs(amp[-1]) ** 2 / 2.0
+        for q, ident in (((a + ad) / math.sqrt(2.0), i1), (1j * (ad - a) / math.sqrt(2.0), i2)):
+            mean, mean_sq = (complex(np.vdot(amp, op @ amp)) for op in (q, q @ q))
+            assert (mean_sq - mean**2).real + top == pytest.approx((1.0 + ident) / 2.0, abs=1e-10)
 
     def test_uncertainty_anchors(self):
-        assert nc.uncertainty_product(coherent_state_wrapper(1.3)) == pytest.approx(0.25, abs=1e-10)
-        assert nc.uncertainty_product(logical_fock_state(1)) == pytest.approx(2.25, abs=1e-10)
+        coherent = nc.squeezing_identities(coherent_state_wrapper(1.3))
+        assert nc.uncertainty_product(*coherent) == pytest.approx(0.25, abs=1e-10)
+        assert nc.uncertainty_product(*nc.squeezing_identities(logical_fock_state(1))) == pytest.approx(2.25, abs=1e-10)
 
     @pytest.mark.parametrize("r", [0.25, 1.0, 2.5])
     @pytest.mark.parametrize("n_pow", [1, 2, 6])
     def test_uncertainty_bound(self, r, n_pow):
         state = states.build_state(ModulationParams(1 / 3, 2 / 3, n_pow), r)
-        assert nc.uncertainty_product(state) >= 0.25 - 1e-10
+        assert nc.uncertainty_product(*nc.squeezing_identities(state)) >= 0.25 - 1e-10
 
 
 class TestQuasiProbOracle:

@@ -1,6 +1,10 @@
+import hashlib
 import json
 import math
+import pathlib
 import re
+import runpy
+import sys
 from dataclasses import replace
 
 import pytest
@@ -136,6 +140,40 @@ class TestConfig:
         monkeypatch.setattr(ZetaGrid, "radii", lambda self: pytest.fail("radii built"))
         with pytest.raises(ConfigError, match=f"points \\(.*{grid}\\) exceeds the bound {sweeps.MAX_GRID_POINTS}$"):
             replace(TINY, **update).validate()
+
+    @pytest.mark.parametrize(
+        "update,factor",
+        [
+            ({"mu": ()}, "mu (0)"),
+            ({"n_values": ()}, "N (0)"),
+            ({"zeta": ZetaGrid(0.5, 2.0, 3, ())}, "zeta.thetas (0)"),
+            ({"zeta": ZetaGrid(0.5, 2.0, 0)}, "zeta radii (0)"),
+            ({"family": "quasiprob", "quasi": QuasiSpec(-0.5, GammaGrid(0.5, 2.0, 3, ()))}, "quasi.gamma.thetas (0)"),
+            ({"family": "quasiprob", "quasi": QuasiSpec(-0.5, GammaGrid(0.5, 2.0, -2))}, "quasi.gamma radii (-2)"),
+        ],
+        ids=["mu", "N", "zeta-thetas", "zeta-radii", "gamma-thetas", "gamma-radii"],
+    )
+    def test_empty_grid_is_refused_naming_the_factor(self, update, factor):
+        with pytest.raises(ConfigError, match=f"^empty grid: no points along {re.escape(factor)}$"):
+            replace(TINY, **update).validate()
+
+    @pytest.mark.parametrize(
+        "command,doc,factor",
+        [
+            (["fidelity", "sweep", "--preset", "fig4"], {"zeta": {"r_min": 0.5, "r_max": 2.0, "r_steps": 3, "thetas": []}},
+             "zeta.thetas"),
+            (["quasiprob", "grid", "--preset", "fig3a"],
+             {"quasi": {"s": -0.5, "gamma": {"r_min": 0.5, "r_max": 2.0, "r_steps": 3, "thetas": []}}},
+             "quasi.gamma.thetas"),
+        ],
+        ids=["zeta", "gamma"],
+    )
+    def test_empty_thetas_exit_2_writing_nothing(self, tmp_path, capsys, command, doc, factor):
+        path, out = tmp_path / "empty.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(doc))
+        assert cli.main([*command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: empty grid: no points along {factor} (0)\n"
+        assert not out.exists()
 
     def test_grid_at_the_bound_validates(self):
         replace(TINY, n_values=(1,), zeta=ZetaGrid(0.5, 2.0, sweeps.MAX_GRID_POINTS)).validate()
@@ -542,5 +580,44 @@ class TestCli:
         assert exc.value.code == 2
         assert "argument --mu: cannot parse complex value 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window,message", [
+        (["--xmin=-1e308", "--xmax=1e308"], "its span overflows the double range"),
+        (["--xmin=1e200", "--xmax=2e200"], "V(x) overflows the double range"),
+        (["--xmin=-1e300", "--xmax=1e300"], "V(x) overflows the double range"),
+    ], ids=["span", "far", "wide"])
+    def test_wavefn_window_beyond_the_double_range_exits_2(self, tmp_path, capsys, window, message):
+        out = tmp_path / "w.csv"
+        assert cli.main(["wavefn", "dump", "--n", "3", *window, "--points", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --xmin/--xmax window [") and err.rstrip().endswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n,reach", [(64, "1e5"), (3, "3e153")])
+    def test_wavefn_far_window_writes_finite_cells(self, tmp_path, n, reach):
+        # P_64(1e5) overflows and V's (2x^2+1)^2 does past |x| ~ 8e76, but psi
+        # is 0 wherever the Gaussian underflows and V stays finite
+        out = tmp_path / "w.csv"
+        argv = ["wavefn", "dump", "--n", str(n), f"--xmin=-{reach}", f"--xmax={reach}", "--points", "5"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        rows = [[float(cell) for cell in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5 and all(math.isfinite(cell) for row in rows for cell in row)
+        assert [row[1] == 0.0 for row in rows] == [True, True, n == 3, True, True]
+
+    def test_wavefn_points_bounded(self, tmp_path, capsys):
+        argv = ["wavefn", "dump", "--n", "3", "--xmin", "-1", "--xmax", "1", "--out", str(tmp_path / "w.csv")]
+        assert cli.main([*argv, "--points", str(sweeps.MAX_GRID_POINTS)]) == 0
+        assert cli.main([*argv, "--points", str(sweeps.MAX_GRID_POINTS + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --points must be in [2, {sweeps.MAX_GRID_POINTS}], got {sweeps.MAX_GRID_POINTS + 1}\n"
+        )
+
     def test_wavefn_invalid_level_exit_code(self, capsys):
         assert cli.main(["wavefn", "dump", "--n", "2", "--xmin", "-1", "--xmax", "1", "--points", "3"]) == 2
+
+
+def test_run_figures_prints_each_files_digest(tmp_path, monkeypatch, capsys):
+    script = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "scripts" / "run_figures.py"))
+    monkeypatch.setattr(sys, "argv", ["run_figures.py", "--outdir", str(tmp_path), "--preset", "fig4"])
+    assert script["main"]() == 0
+    digest = hashlib.sha256((tmp_path / "fig4.csv").read_bytes()).hexdigest()[:8]
+    assert capsys.readouterr().out == f"fig4: 120 rows (0 with an error column) -> {tmp_path / 'fig4.csv'} sha256 {digest}\n"

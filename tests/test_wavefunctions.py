@@ -5,6 +5,7 @@ import pytest
 
 from pmcs import wavefunctions as wf
 from pmcs.errors import ConvergenceError
+from pmcs.specfun import p_hermite_eval
 
 VALID_LEVELS = (0, 3, 4, 5, 6, 7)
 
@@ -34,6 +35,18 @@ class TestEigenfunctions:
         if n <= 6:
             assert abs(wf.eigenfunction(n, 8.0)) < 1e-10
         assert abs(wf.eigenfunction(n, 9.5)) < 1e-10
+
+    def test_zero_where_the_gaussian_underflows(self):
+        # P_64 overflows at 1e5; psi is 0 wherever exp(-x^2/2) is, and finite
+        psi = wf.eigenfunction(64, np.array([-1e5, -40.0, 0.0, 38.0, 1e5]))
+        assert np.isfinite(psi).all()
+        assert psi[0] == psi[1] == psi[4] == 0.0 and psi[3] != 0.0
+        assert psi[2] == wf.eigenfunction(64, 0.0)
+
+    def test_values_where_the_gaussian_lives_are_the_formula(self):
+        x = np.linspace(-7.0, 7.0, 101)
+        ref = wf.norm_const(40) * np.asarray(p_hermite_eval(40, x)) * np.exp(-(x**2) / 2.0) / (1.0 + 2.0 * x**2)
+        assert np.array_equal(wf.eigenfunction(40, x), ref)
 
     @pytest.mark.parametrize("n", [1, 2, -1])
     def test_invalid_levels_rejected(self, n):
