@@ -106,6 +106,25 @@ class TestMomentsPaper:
         assert len(walks) == 2
         assert weyl._lattice_table.cache_info().misses == 1
 
+    @pytest.mark.parametrize(
+        "m_like,mu",
+        [({1: 0.0, 2: 0.0, 3: 0.0, 4: 0.7}, (0.0, 0.0, 0.0, 0.7)), ({1: 1.0, 2: 2.0, 3: 4.0, 4: 8.0}, (1.0, 3.0, 11.0, 47.0))],
+        ids=["shift-4-only", "powers-of-two"],
+    )
+    def test_exact_stirling_weights(self, monkeypatch, m_like, mu):
+        # mu_j = sum_i S(j, i) m_i with integer S(j, i): a3's determinants are
+        # exact where the m_i are (powers-of-two: det mu = 12, det m = 0; an
+        # m_4 alone reaches only mu_4, leaving both zero and A3 undefined)
+        monkeypatch.setattr(nc, "_laguerre_sum", lambda params, r2, shifts: tuple(m_like[j] for j in shifts))
+        got = nc.moments_paper(ModulationParams(1 / 3, 2 / 3, 2), 0.7, 1.0)
+        assert got == tuple(m_like[j] for j in (1, 2, 3, 4))
+        try:
+            result = nc.a3(got)
+        except UndefinedRatioError as err:
+            result = err
+        assert (result.det_m, result.det_mu) == (hankel_det(*got), hankel_det(*mu))
+
+
 def exact_laguerre(n, x):
     """L_n(x) = sum_i C(n, i) (-x)^i / i! in exact rationals."""
     return sum(Fraction(math.comb(n, i)) * (-x) ** i / math.factorial(i) for i in range(n + 1))
@@ -176,14 +195,6 @@ class TestA3:
             nc.a3(nc.moments_oracle(coherent_state_wrapper(0.0)))
         assert err.value.det_m == pytest.approx(0.0, abs=1e-12)
         assert err.value.det_mu == pytest.approx(0.0, abs=1e-12)
-
-    def test_exact_stirling_weights(self):
-        # mu_j = sum_i S(j, i) m_i with integer S(j, i): m = (1, 2, 4, 8) gives
-        # mu = (1, 3, 11, 47) and both determinants exactly
-        result = nc.a3((1.0, 2.0, 4.0, 8.0))
-        assert result.det_mu == hankel_det(1, 3, 11, 47) == 12
-        assert result.det_m == hankel_det(1, 2, 4, 8) == 0
-        assert result.a3 == 0.0
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
     def test_modulated_states_nonclassical_window(self, r):
