@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that turns a
+refusal into a value."""
 
 
 class PmcsError(Exception):
@@ -15,3 +16,11 @@ class DegenerateStateError(PmcsError, ValueError):
 
 class ConfigError(PmcsError, ValueError):
     """A sweep configuration is malformed or inconsistent."""
+
+
+def outcome(fn, *args):
+    """fn(*args), or the PmcsError/ValueError it raised."""
+    try:
+        return fn(*args)
+    except (PmcsError, ValueError) as exc:
+        return exc

@@ -21,6 +21,7 @@ from .weyl import ModulationParams
 
 DIM_CAP = 256
 TAIL_TOL = 1e-12
+GRID_ROWS = 64  # rows per array pass: bounds a block's working set at 64 x 256 levels
 _HALF_LOG_FACTORIALS = 0.5 * np.array([log_factorial_value(k) for k in range(DIM_CAP)])
 _ROOTS = np.sqrt(np.arange(1, DIM_CAP, dtype=float))
 _LOW, _HIGH = np.s_[..., :-1], np.s_[..., 1:]  # levels 0..d-2 and 1..d-1 of a row
@@ -34,8 +35,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_fractions(weights: np.ndarray) -> list[float]:
-    """Per row: fraction of its weight carried by its top 10% of levels."""
+def _tail_fractions(weights: np.ndarray, own: list[int] | None = None) -> list[float]:
+    """Per row: fraction of its weight carried by the top 10% of its levels,
+    row i's first own[i] levels where ``own`` is given."""
+    if own is not None:
+        return [_tail_fractions(weights[i:i + 1, :dim])[0] for i, dim in enumerate(own)]
     totals = weights.sum(axis=1).tolist()
     tails = weights[:, -max(1, weights.shape[1] // 10):].sum(axis=1).tolist()
     return [0.0 if total <= 0.0 else tail / total for tail, total in zip(tails, totals)]
@@ -46,9 +50,11 @@ def _tail_fraction(weights: np.ndarray) -> float:
     return _tail_fractions(weights[None, :])[0]
 
 
-def _norms_sq(amps: np.ndarray) -> list[float]:
-    """<v|v> of each row, by the row's own vdot."""
-    return [float(np.vdot(row, row).real) for row in amps]
+def _norms_sq(amps: np.ndarray, own: list[int] | None = None) -> list[float]:
+    """<v|v> of each row (of its first own[i] levels where ``own`` is
+    given), by the row's own vdot."""
+    rows = amps if own is None else (row[:dim] for row, dim in zip(amps, own))
+    return [float(np.vdot(row, row).real) for row in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,14 +140,15 @@ def _ladder_matrix(dim: int) -> np.ndarray:
     return a
 
 
-def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
-    """``coherent_state`` for each z, as rows: (amplitudes, tail masses,
-    errors), errors[i] being the exception of row i or None.  Per-row scalars
-    are Python floats and row reductions are the row's own, so a row does not
-    depend on the others.
-    """
-    _check_dim(dim, minimum=4)
+def coherent_rows(zetas, width: int, own: list[int] | None = None) -> tuple[np.ndarray, list[float], list]:
+    """``coherent_state`` for each z, as rows of ``width`` levels (row i's
+    first own[i], 4 <= own[i] <= width, where ``own`` is given, zeros above):
+    (amplitudes, tail masses, errors), errors[i] being the exception of row i
+    or None.  Per-row scalars are Python floats and row reductions are the
+    row's own, so a row does not depend on the others."""
+    _check_dim(width, minimum=4)
     zetas = [complex(z) for z in zetas]
+    row_dims = own or [width] * len(zetas)
     errors: list = [None if cmath.isfinite(z) else ValueError(_NON_FINITE) for z in zetas]
     logs, halves, turns = [], [], []
     for i, z in enumerate(zetas):
@@ -155,11 +162,13 @@ def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
         logs.append(math.log(r) if z else 0.0)
         halves.append(r * r / 2.0)
         turns.append(1j * math.atan2(z.imag, z.real))  # cmath.phase raises when the angle underflows
-    n = np.arange(dim)
-    log_mag = np.array(logs)[:, None] * n - _HALF_LOG_FACTORIALS[:dim]
+    n = np.arange(width)
+    log_mag = np.array(logs)[:, None] * n - _HALF_LOG_FACTORIALS[:width]
     log_mag -= np.array(halves)[:, None]
     amp = np.exp(np.maximum(log_mag, -745.0)) * np.exp(np.array(turns)[:, None] * n)
     amp[log_mag < -745.0] = 0.0
+    if own is not None:
+        amp[n >= np.array(own)[:, None]] = 0.0
     for i, z in enumerate(zetas):
         if errors[i] is not None:
             amp[i] = 0.0
@@ -168,16 +177,16 @@ def coherent_rows(zetas, dim: int) -> tuple[np.ndarray, list[float], list]:
             amp[i, 0] = 1.0
         elif not amp[i].any():
             errors[i] = ConvergenceError(
-                f"coherent state |zeta|={abs(z):.3g} underflows at every level of dim {dim}: "
+                f"coherent state |zeta|={abs(z):.3g} underflows at every level of dim {row_dims[i]}: "
                 "its occupation lies above the truncation"
             )
-    nsq = _norms_sq(amp)
+    nsq = _norms_sq(amp, own)
     amp, _ = normalize_rows(amp, nsq, errors)
-    tails = _tail_fractions(np.abs(amp) ** 2)
+    tails = _tail_fractions(np.abs(amp) ** 2, own)
     for i, tail in enumerate(tails):
         if errors[i] is None and not tail < TAIL_TOL:
             errors[i] = ConvergenceError(
-                f"coherent state |zeta|={abs(zetas[i]):.3g} not converged at dim {dim}: "
+                f"coherent state |zeta|={abs(zetas[i]):.3g} not converged at dim {row_dims[i]}: "
                 f"tail mass {tail:.3e} >= {TAIL_TOL:.0e}"
             )
     return amp, tails, errors
@@ -208,51 +217,58 @@ def coherent_state(zeta: complex, dim: int) -> tuple[FockVector, float]:
 
 
 def superposed_power_rows(
-    params: ModulationParams, amps: np.ndarray, shifts
+    params: ModulationParams, amps: np.ndarray, shifts, own: list[int] | None = None
 ) -> tuple[np.ndarray, list[float], list]:
-    """``apply_superposed_power`` on each row of ``amps`` (rows x dim), row i
-    shifted by shifts[i]: (amplitudes, squared norms, errors), errors[i]
-    being the exception of row i or None: a ConvergenceError where the
-    squared norm overflows the double range or the top decile of levels
-    holds TAIL_TOL of the mass.  N > dim/4 raises for the call.
+    """``apply_superposed_power`` on each row of ``amps`` (rows x width), row
+    i shifted by shifts[i] and, given ``own``, holding own[i] levels and
+    zeros above them: (amplitudes, squared norms, errors), errors[i] being
+    the exception of row i or None: a ValueError where N exceeds a quarter
+    of the row's levels, a ConvergenceError where the squared norm overflows
+    the double range or the row's top decile holds TAIL_TOL of the mass.
     """
-    rows, dim = amps.shape
-    if params.N > dim // 4:
-        raise ValueError(f"power N={params.N} needs dim >= {4 * params.N}, got {dim}")
-    errors: list = [None] * rows
+    rows, width = amps.shape
+    row_dims = own or [width] * rows
+    need = f"power N={params.N} needs dim >= {4 * params.N}, got "
+    errors: list = [ValueError(f"{need}{dim}") if params.N > dim // 4 else None for dim in row_dims]
     if params.N == 0:
-        return amps, _norms_sq(amps), errors
-    root = _ROOTS[:dim - 1]  # sqrt(n) for n = 1 .. dim-1
+        return amps, _norms_sq(amps, own), errors
+    root = _ROOTS[:width - 1]  # sqrt(n) for n = 1 .. width-1
     down, up = params.mu * root, params.nu * root
-    # one row updates as a 1-D view: 2-D slicing adds ~1 us per update
-    amp = amps[0] if rows == 1 else amps
+    amp = amps  # rebound to each update's result
     moving = [i for i, shift in enumerate(shifts) if shift]
-    column = np.array([shifts[i] for i in moving], dtype=complex).reshape((-1,) + (1,) * (amp.ndim - 1))
+    column = np.array([shifts[i] for i in moving], dtype=complex)[:, None]
+    if own is not None:  # each padded row's top level, and the padding level just above it
+        tops = (np.arange(rows), np.array(own) - 1)
+        short = [i for i, dim in enumerate(own) if dim < width]
+        above = (short, [own[i] for i in short])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         for _ in range(params.N):
             nxt = np.zeros(amp.shape, dtype=complex)
             np.multiply(down, amp[_HIGH], out=nxt[_LOW])
+            if own is not None:
+                nxt[tops] = 0.0  # +0, as without padding: mu times a padding 0 can be -0
             nxt[_HIGH] += up * amp[_LOW]
             if len(moving) == rows:
                 nxt += column * amp
             elif moving:
                 nxt[moving] += column * amp[moving]
+            if own is not None:
+                nxt[above] = 0.0  # the padding stays 0
             amp = nxt
-    amp = amp.reshape(rows, dim)
-    nsq = _norms_sq(amp)
+    nsq = _norms_sq(amp, own)
     for i, norm_sq in enumerate(nsq):  # the rows come in finite: a non-finite norm has overflowed
         if not math.isfinite(norm_sq):
-            errors[i] = ConvergenceError(
-                f"superposed power overflows the double range at dim {dim}: squared norm {norm_sq}"
+            errors[i] = errors[i] or ConvergenceError(
+                f"superposed power overflows the double range at dim {row_dims[i]}: squared norm {norm_sq}"
             )
             amp[i] = 0.0
             nsq[i] = 0.0
-    tails = _tail_fractions(np.abs(amp) ** 2)
+    tails = _tail_fractions(np.abs(amp) ** 2, own)
     for i, tail in enumerate(tails):
         if errors[i] is None and nsq[i] > 0.0 and tail >= TAIL_TOL:
             errors[i] = ConvergenceError(
                 f"superposed power pushed {tail:.3e} of the mass into the "
-                f"top decile at dim {dim}; increase the dimension"
+                f"top decile at dim {row_dims[i]}; increase the dimension"
             )
     return amp, nsq, errors
 

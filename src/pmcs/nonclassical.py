@@ -154,7 +154,6 @@ def uncertainty_product(i1: float, i2: float) -> float:
     return (1.0 + i1) * (1.0 + i2) / 4.0
 
 
-GRID_ROWS = 64  # gammas per array pass: bounds the working set at 64 x 256 levels
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
@@ -174,9 +173,9 @@ def quasiprob_grid(state: PMCState, gammas, s: float) -> list:
     1) is a ValueError.  (1/pi) integral of F(., -1) over the plane is 1.
 
     The gammas sharing a d_gamma go through the ``fock`` row kernels
-    together, ``GRID_ROWS`` at a time.  Every per-gamma scalar stays a Python
-    number and every row reduction is the row's own, so an entry does not
-    depend on the rest of the grid.
+    together, ``fock.GRID_ROWS`` at a time.  Every per-gamma scalar stays a
+    Python number and every row reduction is the row's own, so an entry does
+    not depend on the rest of the grid.
     """
     gammas = [complex(g) for g in gammas]
     s = float(s)
@@ -199,8 +198,8 @@ def quasiprob_grid(state: PMCState, gammas, s: float) -> list:
                 out[i] = error
             continue
         weight = w ** np.arange(dim)
-        for start in range(0, len(members), GRID_ROWS):
-            block = members[start:start + GRID_ROWS]
+        for start in range(0, len(members), fock.GRID_ROWS):
+            block = members[start:start + fock.GRID_ROWS]
             values = _quasiprob_block(state, [gammas[i] for i in block], s, dim, weight)
             for i, value in zip(block, values):
                 out[i] = value

@@ -14,8 +14,10 @@ once, as a single row ``L_0 .. L_n`` at the call's argument
 (``specfun.laguerre_table``), and its per-term factors index into that row.
 ``_laguerre_sum`` sums several Laguerre order shifts in one walk: shift 0 is
 the norm, shifts 1..4 the moments, so an A3 point walks the table twice.
-``build_state`` computes both norms, so a sweep point builds its state once
-and reads the norm comparison from it.
+A state carries both norms, so a sweep point builds its state once and reads
+the norm comparison from it.  ``build_states`` builds a sweep line's states
+in one padded pass of the ``fock`` row kernels per block, bit-identical to
+one point at a time; ``build_state`` is its one-point case.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from dataclasses import dataclass
 
 from . import fock, weyl
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, outcome
 from .specfun import laguerre_table, log_factorial_value, signed_log_sum
 from .weyl import ModulationParams
 
@@ -91,39 +93,65 @@ def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:
     return _laguerre_sum(params, abs(complex(zeta)) ** 2, (0,))[0]
 
 
-def build_state(params: ModulationParams, zeta: complex, dim: int | None = None) -> PMCState:
-    """Oracle construction: normalize((mu a + nu a†)^N coherent(zeta)).
-
-    Raises DegenerateStateError when the result has no usable norm: the
-    operator annihilates the input (for example mu = 1, nu = 0, N >= 1 on
-    zeta = 0), or the squared norm underflows below the smallest normal
-    double, where it has lost its precision.  Tiny but representable norms
-    (mu = 2/3, nu = 0, N = 32, |zeta| = 0.25 gives 1.6e-50) build normally.
+def build_states(params: ModulationParams, zetas, dims=None):
+    """normalize((mu a + nu a†)^N coherent(zeta)) for each zeta of a sweep
+    line, in dims[i] levels (default ``fock.default_dim``): yields, in order,
+    each point's PMCState or the PmcsError or ValueError that refuses it, a
+    DegenerateStateError where the operator annihilates the input (mu = 1,
+    nu = 0, N >= 1 on zeta = 0) or the squared norm underflows below the
+    smallest normal double (1.6e-50 at mu = 2/3, nu = 0, N = 32, |zeta| =
+    0.25 builds).  ``fock.GRID_ROWS`` points at a time go through one
+    ``coherent_rows`` and one ``superposed_power_rows`` call, each row at its
+    own dimension inside the block's zero padding, so every state and
+    refusal is bit for bit the one its point gets alone.
     """
-    zeta = complex(zeta)
-    if not cmath.isfinite(zeta):
-        raise ValueError(f"zeta must be finite, got {zeta}")
-    if dim is None:
-        dim = fock.default_dim(zeta, params.N)
-    base, _ = fock.coherent_state(zeta, dim)
-    raw = fock.apply_superposed_power(params, base)
-    nsq_oracle = raw.norm_sq()
-    if not nsq_oracle >= sys.float_info.min:
-        raise DegenerateStateError(
-            f"(mu a + nu a†)^{params.N} |zeta={zeta}> has squared norm {nsq_oracle:.3g}: "
-            "the operator annihilates the input, or the norm underflows the double range"
+    zetas = [complex(z) for z in zetas]
+    dims = [None] * len(zetas) if dims is None else list(dims)
+    step = fock.GRID_ROWS
+    for start in range(0, len(zetas), step):
+        yield from _build_block(params, zetas[start:start + step], dims[start:start + step])
+
+
+def _build_block(params: ModulationParams, zetas: list[complex], dims: list) -> list:
+    out: list = [None] * len(zetas)
+    for i, zeta in enumerate(zetas):
+        if not cmath.isfinite(zeta):
+            out[i] = ValueError(f"zeta must be finite, got {zeta}")
+            continue
+        dims[i] = fock.default_dim(zeta, params.N) if dims[i] is None else dims[i]
+        out[i] = outcome(fock._check_dim, dims[i], 4)  # None for a dimension in range
+    live = [i for i, refusal in enumerate(out) if refusal is None]
+    if not live:
+        return out
+    own = [dims[i] for i in live]
+    width = max(own)
+    own = None if min(own) == width else own  # a block of one dimension is not masked
+    coherent, _, coherent_errors = fock.coherent_rows([zetas[i] for i in live], width, own)
+    raw, nsq, raw_errors = fock.superposed_power_rows(params, coherent, [0] * len(live), own)
+    errors = [c or r for c, r in zip(coherent_errors, raw_errors)]
+    for j, i in enumerate(live):
+        if errors[j] is None and not nsq[j] >= sys.float_info.min:
+            errors[j] = DegenerateStateError(
+                f"(mu a + nu a†)^{params.N} |zeta={zetas[i]}> has squared norm {nsq[j]:.3g}: "
+                "the operator annihilates the input, or the norm underflows the double range"
+            )
+    amps, _ = fock.normalize_rows(raw, nsq, errors)
+    for j, i in enumerate(live):
+        paper = errors[j] or outcome(paper_norm_sq, params, zetas[i])
+        out[i] = paper if isinstance(paper, Exception) else PMCState(
+            params=params, zeta=zetas[i], vector=fock.FockVector(amps[j, :dims[i]]),
+            norm_sq_paper=paper, norm_sq_oracle=nsq[j], discrepancy=abs(paper - nsq[j]) / nsq[j],
         )
-    nsq_paper = paper_norm_sq(params, zeta)
-    disc = abs(nsq_paper - nsq_oracle) / nsq_oracle
-    amps, _ = fock.normalize_rows(raw.amplitudes[None, :], [nsq_oracle], [None])
-    return PMCState(
-        params=params,
-        zeta=zeta,
-        vector=fock.FockVector(amps[0], raw.basis_offset),
-        norm_sq_paper=nsq_paper,
-        norm_sq_oracle=nsq_oracle,
-        discrepancy=disc,
-    )
+    return out
+
+
+def build_state(params: ModulationParams, zeta: complex, dim: int | None = None) -> PMCState:
+    """The one-point case of ``build_states``, raising the exception that
+    refuses the point."""
+    (state,) = build_states(params, [zeta], None if dim is None else [dim])
+    if isinstance(state, Exception):
+        raise state
+    return state
 
 
 def compare_norms(params: ModulationParams, zeta: complex, dim: int | None = None) -> NormComparison:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import nonclassical, states
-from .errors import ConfigError, PmcsError
+from .errors import ConfigError, outcome
 from .fock import DIM_CAP, default_dim
 from .nonclassical import QuasiProbParams
 from .weyl import MAX_POWER, ModulationParams
@@ -105,7 +105,9 @@ class SweepConfig:
         if self.family == "quasiprob" and self.quasi is None:
             raise ConfigError("quasiprob sweeps need a 'quasi' block (s and gamma grid)")
         sizes = {"mu": len(self.mu), "nu": len(self.nu), "N": len(self.n_values)}
-        grids = [("zeta", self.zeta)] + ([("quasi.gamma", self.quasi.gamma)] if self.quasi is not None else [])
+        grids = [("zeta", self.zeta)]
+        if self.family == "quasiprob":  # the only family that reads the gamma grid
+            grids.append(("quasi.gamma", self.quasi.gamma))
         for name, grid in grids:
             sizes.update({f"{name} radii": grid.r_steps, f"{name}.thetas": len(grid.thetas)})
         empty = [f"{name} ({size})" for name, size in sizes.items() if size < 1]
@@ -129,7 +131,7 @@ class SweepConfig:
         yield "mu", [part for z in self.mu for part in (z.real, z.imag)]
         yield "nu", [part for z in self.nu for part in (z.real, z.imag)]
         yield from self.zeta._real_fields("zeta")
-        if self.quasi is not None:
+        if self.family == "quasiprob":
             yield "quasi.s", [self.quasi.s]
             yield from self.quasi.gamma._real_fields("quasi.gamma")
 
@@ -168,21 +170,13 @@ def _rel_gap(paper: float | None, oracle: float | None) -> float | None:
     return abs(paper - oracle) / max(abs(oracle), 1e-300)
 
 
-def _outcome(fn, *args):
-    """fn(*args), or the PmcsError/ValueError it raised."""
-    try:
-        return fn(*args)
-    except (PmcsError, ValueError) as exc:
-        return exc
-
-
 def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
 def _one_entry(fn):
     """A state family's oracle: fn(state), the outcome of its single entry."""
-    return lambda state, entries, s: [_outcome(fn, state)]
+    return lambda state, entries, s: [outcome(fn, state)]
 
 
 def _squeeze_oracle(state: states.PMCState) -> tuple[float, float, float]:
@@ -224,18 +218,15 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
-def _point_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float, theta: float):
+def _point_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float, theta: float, dim: int, state):
     """One state point's rows: its ``norm_sq`` row (state families), then
-    one row per quantity for each entry.  A failed state build gives every
-    one of those rows its error instead."""
+    one row per quantity for each entry.  A failed state build (``state``
+    is then its exception) gives every one of those rows its error instead."""
     quantities, paper_fn, oracle_fn = _FAMILY_TABLE[cfg.family]
-    zeta = r * cmath.exp(1j * theta)
-    dim = cfg.dim_override if cfg.dim_override is not None else default_dim(zeta, n_pow)
     quasi = cfg.family == "quasiprob"
     s, entries = (cfg.quasi.s, cfg.quasi.gamma.points()) if quasi else (None, [None])
     base = dict(mu=mu, nu=nu, N=n_pow, r=r, theta=theta, s=s, truncation_dim=dim)
 
-    state = _outcome(lambda: states.build_state(ModulationParams(mu, nu, n_pow), zeta, dim))
     if isinstance(state, Exception):
         for gamma in entries:
             for quantity in quantities if quasi else ("norm_sq",) + quantities:
@@ -250,7 +241,7 @@ def _point_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
 
     run_paper = paper_fn is not None and cfg.engine != "oracle"
     run_oracle = paper_fn is None or cfg.engine != "paper"
-    papers = [_outcome(paper_fn, state, gamma, s) if run_paper else None for gamma in entries]
+    papers = [outcome(paper_fn, state, gamma, s) if run_paper else None for gamma in entries]
     oracles = oracle_fn(state, entries, s) if run_oracle else [None] * len(entries)
     blank = (None,) * len(quantities)
     for gamma, paper, oracle in zip(entries, papers, oracles):
@@ -266,10 +257,20 @@ def _point_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """All rows of the sweep in deterministic (lexicographic grid) order."""
+    """All rows of the sweep in deterministic (lexicographic grid) order.
+    The states of each (mu, nu, N) line come from one ``states.build_states``
+    pass; a refused ``ModulationParams`` refuses every point of its line."""
     cfg.validate()
-    grid = itertools.product(cfg.mu, cfg.nu, cfg.n_values, cfg.zeta.radii(), cfg.zeta.thetas)
-    return [row for point in grid for row in _point_rows(cfg, *point)]
+    points = list(itertools.product(cfg.zeta.radii(), cfg.zeta.thetas))
+    zetas = [r * cmath.exp(1j * theta) for r, theta in points]
+    rows: list[SweepRow] = []
+    for mu, nu, n_pow in itertools.product(cfg.mu, cfg.nu, cfg.n_values):
+        dims = [cfg.dim_override or default_dim(z, n_pow) for z in zetas]  # validated: no override is 0
+        params = outcome(ModulationParams, mu, nu, n_pow)
+        built = [params] * len(zetas) if isinstance(params, Exception) else states.build_states(params, zetas, dims)
+        for (r, theta), dim, state in zip(points, dims, built):
+            rows.extend(_point_rows(cfg, mu, nu, n_pow, r, theta, dim, state))
+    return rows
 
 
 def _fmt(value) -> str:

@@ -1,17 +1,22 @@
 """References for the tests: dense d x d ladder, number, identity and
-exp(-lam n̂) matrices, a normal-ordered series rebuilt as a matrix, and the
-closed-form Laguerre sum one order shift per lattice walk.
+exp(-lam n̂) matrices, a normal-ordered series rebuilt as a matrix, the
+closed-form Laguerre sum one order shift per lattice walk, and a state and
+a sweep built one point at a time.
 
 The program works with banded contractions and never forms these matrices,
-and it sums every order shift in one walk; the tests hold its results
-against these references.
+it sums every order shift in one walk, and it builds a sweep line's states
+in one padded pass; the tests hold its results against these references.
 """
 
+import cmath
+import itertools
 import math
+import sys
 
 import numpy as np
 
-from pmcs import fock, weyl
+from pmcs import fock, states, sweeps, weyl
+from pmcs.errors import DegenerateStateError, outcome
 from pmcs.specfun import laguerre_table, log_factorial_value, signed_log_sum
 
 
@@ -90,3 +95,43 @@ def laguerre_sum_one_shift(params, r2: float, shift: int) -> float:
         log_power = (k - l) * log_r2 if k - l else 0.0
         entries.append((log_t2 + (log_power + log_factorial_value(order) + math.log(lag[order])), 1.0))
     return signed_log_sum(entries).real
+
+
+def one_point_state(params, zeta: complex, dim: int | None = None) -> states.PMCState:
+    """normalize((mu a + nu a†)^N coherent(zeta)) from one-row kernel calls
+    on a vector of exactly ``dim`` levels (default ``fock.default_dim``),
+    raising what refuses it: no padding and no other point in the arrays."""
+    zeta = complex(zeta)
+    if not cmath.isfinite(zeta):
+        raise ValueError(f"zeta must be finite, got {zeta}")
+    if dim is None:
+        dim = fock.default_dim(zeta, params.N)
+    base, _ = fock.coherent_state(zeta, dim)
+    raw = fock.apply_superposed_power(params, base)
+    nsq_oracle = raw.norm_sq()
+    if not nsq_oracle >= sys.float_info.min:
+        raise DegenerateStateError(
+            f"(mu a + nu a†)^{params.N} |zeta={zeta}> has squared norm {nsq_oracle:.3g}: "
+            "the operator annihilates the input, or the norm underflows the double range"
+        )
+    nsq_paper = states.paper_norm_sq(params, zeta)
+    amps, _ = fock.normalize_rows(raw.amplitudes[None, :], [nsq_oracle], [None])
+    return states.PMCState(
+        params=params, zeta=zeta, vector=fock.FockVector(amps[0], raw.basis_offset),
+        norm_sq_paper=nsq_paper, norm_sq_oracle=nsq_oracle,
+        discrepancy=abs(nsq_paper - nsq_oracle) / nsq_oracle,
+    )
+
+
+def one_point_sweep(cfg: sweeps.SweepConfig) -> list[sweeps.SweepRow]:
+    """``sweeps.run_sweep`` with each state point's state built alone by
+    ``one_point_state``, in lexicographic grid order."""
+    cfg.validate()
+    rows = []
+    grid = itertools.product(cfg.mu, cfg.nu, cfg.n_values, cfg.zeta.radii(), cfg.zeta.thetas)
+    for mu, nu, n_pow, r, theta in grid:
+        zeta = r * cmath.exp(1j * theta)
+        dim = cfg.dim_override if cfg.dim_override is not None else fock.default_dim(zeta, n_pow)
+        state = outcome(lambda: one_point_state(weyl.ModulationParams(mu, nu, n_pow), zeta, dim))
+        rows.extend(sweeps._point_rows(cfg, mu, nu, n_pow, r, theta, dim, state))
+    return rows

@@ -226,7 +226,7 @@ class TestWorkCounts:
             zeta=ZetaGrid(0.5, 1.0, 2, (math.pi / 2,)),
             quasi=QuasiSpec(s=-0.5, gamma=GammaGrid(0.3, 1.0, 3, (0.0, 1.0))),
         )
-        calls = {"quasiprob_grid": 0, "quasiprob_oracle": 0, "coherent_state": 0}
+        calls = {"quasiprob_grid": 0, "quasiprob_oracle": 0, "coherent_state": 0, "build_states": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -240,8 +240,12 @@ class TestWorkCounts:
         counting(nc, "quasiprob_grid")
         counting(nc, "quasiprob_oracle")
         counting(fock, "coherent_state")
+        counting(states, "build_states")
         rows = sweeps.run_sweep(cfg)
 
         points = len(cfg.n_values) * cfg.zeta.r_steps * len(cfg.zeta.thetas)
         assert len(rows) == points * 6 and not any(row.error for row in rows)
-        assert calls == {"quasiprob_grid": points, "quasiprob_oracle": 0, "coherent_state": points}
+        # the states come from one padded pass per N, no one-row coherent build
+        assert calls == {
+            "quasiprob_grid": points, "quasiprob_oracle": 0, "coherent_state": 0, "build_states": len(cfg.n_values),
+        }

@@ -197,6 +197,39 @@ class TestSuperposedPower:
         assert failed == ([] if n_pow == 0 else [ConvergenceError, ConvergenceError])
 
 
+    @pytest.mark.parametrize("n_pow", [0, 1, 3, 8])
+    def test_padded_rows_equal_one_row_calls(self, n_pow):
+        # rows of 12 to 40 levels in one block, padded with zeros to the
+        # widest: each row's amplitudes, norm, tail and error are those of a
+        # one-row call at its own dimension, with and without shifts; a row
+        # below its 4N headroom, a row that does not converge and negative
+        # coefficients (a product with a padding zero is then -0) among them
+        zetas, dims = [0.4, 0.1 - 0.05j, -0.9j, 0.0, 6.0], [40, 12, 33, 20, 16]
+        params = ModulationParams(-0.7 + 0.2j, -3.0, n_pow)
+        coherent, tails, coherent_errors = fock.coherent_rows(zetas, max(dims), dims)
+        for zeta, dim, row, tail, error in zip(zetas, dims, coherent, tails, coherent_errors):
+            try:
+                vec, vec_tail = fock.coherent_state(zeta, dim)
+            except ConvergenceError as exc:
+                assert (type(error), str(error)) == (type(exc), str(exc))
+                continue
+            assert error is None and tail == vec_tail
+            assert row[:dim].tobytes() == vec.amplitudes.tobytes() and not row[dim:].any()
+        assert [type(e) for e in coherent_errors] == [type(None)] * 4 + [ConvergenceError]
+        for shifts in ([0] * 5, [0.3 - 0.2j, 0, 1.7j, -0.0, 0.5]):
+            amps, nsq, errors = fock.superposed_power_rows(params, coherent, shifts, dims)
+            for start, dim, shift, got, got_nsq, error in zip(coherent, dims, shifts, amps, nsq, errors):
+                try:
+                    vec = fock.apply_superposed_power(params, fock.FockVector(start[:dim]), shift)
+                except (ConvergenceError, ValueError) as exc:
+                    assert (type(error), str(error)) == (type(exc), str(exc))
+                    continue
+                assert error is None and got_nsq == vec.norm_sq()
+                assert got[:dim].tobytes() == vec.amplitudes.tobytes() and not got[dim:].any()
+            headroom = [str(e) for e in errors if isinstance(e, ValueError)]
+            assert headroom == [f"power N={n_pow} needs dim >= {4 * n_pow}, got {d}" for d in dims if n_pow > d // 4]
+
+
 class TestDisplacement:
     def test_zero_is_exact_identity(self):
         disp = fock.displacement(0.0, 12)

@@ -51,7 +51,7 @@ class TestBatchInvariance:
         # grids run past one block of rows
         gammas = base + [0j, zeta]
         if long:
-            gammas += [base[k % len(base)] * (1.0 + k / 50.0) for k in range(nc.GRID_ROWS + 2)]
+            gammas += [base[k % len(base)] * (1.0 + k / 50.0) for k in range(fock.GRID_ROWS + 2)]
         got = [outcome(value) for value in nc.quasiprob_grid(state, gammas, s)]
         assert got == one_at_a_time(state, gammas, s)
 
@@ -63,7 +63,7 @@ class TestBatchInvariance:
         gammas = [r * cmath.exp(2j * math.pi * k / 24) for r in (0.0, 0.4, 1.5, 3.0, 7.5) for k in range(24)]
         gammas.append(state.zeta)
         dims = dims_of(state, gammas)
-        assert len(set(dims)) >= 3 and max(dims.count(d) for d in dims) > nc.GRID_ROWS
+        assert len(set(dims)) >= 3 and max(dims.count(d) for d in dims) > fock.GRID_ROWS
         got = [outcome(value) for value in nc.quasiprob_grid(state, gammas, s)]
         assert got == one_at_a_time(state, gammas, s)
 
@@ -122,6 +122,6 @@ def test_peak_memory_is_bounded_by_the_block_not_the_grid():
         assert not any(isinstance(v, Exception) for v in values)
         return used
 
-    small, large = peak(2 * nc.GRID_ROWS), peak(4096)
+    small, large = peak(2 * fock.GRID_ROWS), peak(4096)
     assert large < 4096 * 256 * 16 / 4
     assert large - small < 1_000_000  # the per-gamma results and bookkeeping only

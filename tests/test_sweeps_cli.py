@@ -175,6 +175,25 @@ class TestConfig:
         assert capsys.readouterr().err == f"config error: empty grid: no points along {factor} (0)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "gamma,refusal",
+        [
+            (GammaGrid(0.5, 2.0, 2000, tuple(k / 10 for k in range(60))),
+             "grid of 120000 points (1 mu x 1 nu x 1 N x 1 zeta radii x 1 zeta.thetas x 2000 quasi.gamma radii x "
+             f"60 quasi.gamma.thetas) exceeds the bound {sweeps.MAX_GRID_POINTS}"),
+            (GammaGrid(0.5, 2.0, 3, ()), "empty grid: no points along quasi.gamma.thetas (0)"),
+        ],
+        ids=["oversized", "empty"],
+    )
+    def test_gamma_grid_counts_only_where_it_is_read(self, monkeypatch, gamma, refusal):
+        fig4, fig3a = sweeps.preset_config("fig4"), sweeps.preset_config("fig3a")
+        expected = sweeps.render(sweeps.run_sweep(fig4), "fidelity", "csv")
+        monkeypatch.setattr(GammaGrid, "radii", lambda self: pytest.fail("gamma radii built"))
+        rows = sweeps.run_sweep(replace(fig4, quasi=QuasiSpec(-0.5, gamma)))
+        assert len(rows) == 120 and sweeps.render(rows, "fidelity", "csv") == expected
+        with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+            replace(fig3a, quasi=QuasiSpec(-0.5, gamma)).validate()
+
     def test_grid_at_the_bound_validates(self):
         replace(TINY, n_values=(1,), zeta=ZetaGrid(0.5, 2.0, sweeps.MAX_GRID_POINTS)).validate()
         with pytest.raises(ConfigError, match="exceeds the bound"):
@@ -278,13 +297,14 @@ class TestRows:
     @pytest.mark.parametrize("family", ["a3", "squeeze", "fidelity", "quasiprob"])
     def test_one_state_build_per_point(self, monkeypatch, family):
         built = []
-        original = states.build_state
+        original = states.build_states
 
         def spy(*args, **kwargs):
-            built.append(original(*args, **kwargs))
-            return built[-1]
+            for state in original(*args, **kwargs):
+                built.append(state)
+                yield state
 
-        monkeypatch.setattr(states, "build_state", spy)
+        monkeypatch.setattr(states, "build_states", spy)
         cfg = replace(TINY, family=family, n_values=(0, 2))
         if family == "quasiprob":
             cfg = replace(cfg, quasi=sweeps.QuasiSpec(s=-0.5, gamma=sweeps.GammaGrid(0.5, 1.0, 2)))
@@ -404,7 +424,7 @@ class TestPresetCoverage:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("build_state", "paper_norm_sq", "compare_norms"):
+        for name in ("build_states", "paper_norm_sq", "compare_norms"):
             spy(states, name)
         for name in (
             "moments_oracle", "moments_paper", "a3", "squeezing_identities",
@@ -417,7 +437,7 @@ class TestPresetCoverage:
             sweeps.run_sweep(sweeps.preset_config(preset))
 
         expected = {
-            "build_state", "paper_norm_sq",
+            "build_states", "paper_norm_sq",
             "moments_oracle", "moments_paper", "a3", "squeezing_identities",
             "uncertainty_product", "quasiprob_grid", "quasiprob_paper",
             "fidelity_oracle", "fidelity_paper",
