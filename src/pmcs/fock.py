@@ -39,15 +39,17 @@ def _tail_fractions(weights: np.ndarray, own: list[int] | None = None) -> list[f
     """Per row: fraction of its weight carried by the top 10% of its levels,
     row i's first own[i] levels where ``own`` is given."""
     if own is not None:
-        return [_tail_fractions(weights[i:i + 1, :dim])[0] for i, dim in enumerate(own)]
+        return [_tail_fraction(weights[i, :dim]) for i, dim in enumerate(own)]
     totals = weights.sum(axis=1).tolist()
     tails = weights[:, -max(1, weights.shape[1] // 10):].sum(axis=1).tolist()
     return [0.0 if total <= 0.0 else tail / total for tail, total in zip(tails, totals)]
 
 
 def _tail_fraction(weights: np.ndarray) -> float:
-    """Fraction of total weight carried by the top 10% of levels."""
-    return _tail_fractions(weights[None, :])[0]
+    """Fraction of total weight carried by the top 10% of levels: one row of
+    ``_tail_fractions``, whose row sums a 1-D sum repeats bit for bit."""
+    total = float(weights.sum())
+    return 0.0 if total <= 0.0 else float(weights[-max(1, weights.size // 10):].sum()) / total
 
 
 def _norms_sq(amps: np.ndarray, own: list[int] | None = None) -> list[float]:
@@ -169,13 +171,14 @@ def coherent_rows(zetas, width: int, own: list[int] | None = None) -> tuple[np.n
     amp[log_mag < -745.0] = 0.0
     if own is not None:
         amp[n >= np.array(own)[:, None]] = 0.0
+    nonzero = amp.any(axis=1).tolist()
     for i, z in enumerate(zetas):
         if errors[i] is not None:
             amp[i] = 0.0
         elif not z:
             amp[i] = 0.0
             amp[i, 0] = 1.0
-        elif not amp[i].any():
+        elif not nonzero[i]:
             errors[i] = ConvergenceError(
                 f"coherent state |zeta|={abs(z):.3g} underflows at every level of dim {row_dims[i]}: "
                 "its occupation lies above the truncation"
@@ -234,26 +237,26 @@ def superposed_power_rows(
         return amps, _norms_sq(amps, own), errors
     root = _ROOTS[:width - 1]  # sqrt(n) for n = 1 .. width-1
     down, up = params.mu * root, params.nu * root
-    amp = amps  # rebound to each update's result
     moving = [i for i, shift in enumerate(shifts) if shift]
     column = np.array([shifts[i] for i in moving], dtype=complex)[:, None]
-    if own is not None:  # each padded row's top level, and the padding level just above it
-        tops = (np.arange(rows), np.array(own) - 1)
-        short = [i for i, dim in enumerate(own) if dim < width]
-        above = (short, [own[i] for i in short])
+    # Flat indices zeroed in each update: every row's own top level and last
+    # level before its creation part, each padded row's first padding level after.
+    starts = range(0, rows * width, width)
+    tops = np.array([(start + dim - 1, start + width - 1) for start, dim in zip(starts, row_dims)], dtype=np.intp)
+    above = np.array([start + dim for start, dim in zip(starts, row_dims) if dim < width], dtype=np.intp)
+    buffers = [np.empty((rows, width), dtype=complex) for _ in range(min(params.N, 2))]
+    amp = amps  # rebound to each update's result, the two buffers in turn
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        for _ in range(params.N):
-            nxt = np.zeros(amp.shape, dtype=complex)
+        for step in range(params.N):
+            nxt = buffers[step % 2]
             np.multiply(down, amp[_HIGH], out=nxt[_LOW])
-            if own is not None:
-                nxt[tops] = 0.0  # +0, as without padding: mu times a padding 0 can be -0
+            nxt.put(tops, 0.0)  # +0, as without padding: mu times a padding 0 can be -0
             nxt[_HIGH] += up * amp[_LOW]
             if len(moving) == rows:
                 nxt += column * amp
             elif moving:
                 nxt[moving] += column * amp[moving]
-            if own is not None:
-                nxt[above] = 0.0  # the padding stays 0
+            nxt.put(above, 0.0)  # the padding stays 0
             amp = nxt
     nsq = _norms_sq(amp, own)
     for i, norm_sq in enumerate(nsq):  # the rows come in finite: a non-finite norm has overflowed
@@ -329,11 +332,12 @@ def expectation(op: FockOperator, vec: FockVector) -> complex:
     return complex(np.vdot(vec.amplitudes, op.matrix @ vec.amplitudes))
 
 
-def trace_rows(summands: np.ndarray, contexts, magnitudes: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+def trace_rows(summands: np.ndarray, context, magnitudes: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """Sum of each row of a truncated trace's per-level summand t_n: (sums,
     errors), errors[i] being the exception of row i or None.
 
-    Row i is refused with a ConvergenceError (carrying contexts[i]) when its
+    Row i is refused with a ConvergenceError (carrying context(i), the text
+    that names the row, asked for refused rows only) when its
     top decile of levels carries more than 1e-10 of |sum t_n|, or when its
     ``magnitudes`` (default |t_n|; a larger bound where the t_n came out of
     cancelling sums) add up to more than 1e3 max(|sum t_n|, 1): rounding
@@ -344,16 +348,19 @@ def trace_rows(summands: np.ndarray, contexts, magnitudes: np.ndarray | None = N
     mags = np.abs(summands)
     tails = mags[:, -max(1, mags.shape[1] // 10):].sum(axis=1)
     sizes = (mags if magnitudes is None else magnitudes).sum(axis=1)
+
+    def where(i: int) -> str:
+        text = context(i)
+        return f"at dim {mags.shape[1]}" + (f" ({text})" if text else "")
+
     errors: list = []
-    for total, tail, size, context in zip(totals, tails, sizes, contexts):
-        total, tail, size = complex(total), float(tail), float(size)
-        where = f"at dim {mags.shape[1]}" + (f" ({context})" if context else "")
+    for i, (total, tail, size) in enumerate(zip(totals.tolist(), tails.tolist(), sizes.tolist())):
         error = None
         if not tail <= 1e-10 * abs(total):
             frac = tail / abs(total) if total else math.inf
-            error = ConvergenceError(f"trace summand does not decay {where}: top-decile fraction {frac:.3e}")
+            error = ConvergenceError(f"trace summand does not decay {where(i)}: top-decile fraction {frac:.3e}")
         elif size > 1e3 * max(abs(total), 1.0):
-            error = ConvergenceError(f"trace summand cancels {where}: |sum| {abs(total):.3e}, size {size:.3e}")
+            error = ConvergenceError(f"trace summand cancels {where(i)}: |sum| {abs(total):.3e}, size {size:.3e}")
         errors.append(error)
     return totals, errors
 
@@ -366,7 +373,7 @@ def density_and_trace(vec: FockVector, op: FockOperator, context: str = "") -> c
     """
     if op.dim != vec.dim:
         raise ValueError("dimension mismatch")
-    totals, (error,) = trace_rows((vec.amplitudes.conj() * (op.matrix @ vec.amplitudes))[None, :], [context])
+    totals, (error,) = trace_rows((vec.amplitudes.conj() * (op.matrix @ vec.amplitudes))[None, :], lambda _: context)
     if error is not None:
         raise error
     return complex(totals[0])

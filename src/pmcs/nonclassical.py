@@ -9,10 +9,11 @@ vector.  Each indicator is a function of its defining moments, which both
 paths feed: ``a3`` of the four factorial moments (``moments_paper`` or
 ``moments_oracle``), ``uncertainty_product`` of (I1, I2).  a and a† are
 one-off-diagonal, so the oracle's moments and squeezing identities are O(d)
-sums over populations |c_n|^2 or neighbouring amplitudes, equal to the dense
-truncated-space products; the quasi-probability is a population sum in the
-displaced frame, with no d x d displacement, evaluated for a state point's
-whole gamma grid in one row-batched pass (``quasiprob_grid``;
+sums over populations |c_n|^2 or neighbouring amplitudes, weighted by level
+tables built once at import and sliced to the state's dimension, equal to
+the dense truncated-space products; the quasi-probability is a population
+sum in the displaced frame, with no d x d displacement, evaluated for a
+state point's whole gamma grid in one row-batched pass (``quasiprob_grid``;
 ``quasiprob_oracle`` is its one-gamma case).  The *_paper functions take the
 closed-form squared norm from the caller (a sweep reads it from the state it
 built) instead of walking its lattice again; ``moments_paper`` walks it once
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import fock, weyl
 from .errors import ConvergenceError, PmcsError
-from .specfun import laguerre_table, log_factorial_value, signed_log_sum
+from .specfun import laguerre_table, log_factorial_value, log_sum, signed_log_sum
 from .states import PMCState, _laguerre_sum
 from .weyl import ModulationParams, expand_number_power
 
@@ -64,11 +65,19 @@ class QuasiProbParams:
         object.__setattr__(self, "s", float(self.s))
 
 
+# Level tables up to fock.DIM_CAP, sliced to a state's dimension: row j-1 of
+# _FALLING is n!/(n-j)!, j = 1..4, so row 0 is n itself; sqrt(n) is fock._ROOTS.
+_FALLING = np.cumprod([np.arange(fock.DIM_CAP, dtype=float) - j for j in range(4)], axis=0)
+_LEVELS = _FALLING[0]
+_LEVEL_POWERS = {2: _LEVELS**2, 4: _LEVELS**4}
+_ROOT_PAIRS = np.sqrt(_FALLING[1])  # sqrt(n(n-1))
+
+
 def _check_moment_headroom(pop: np.ndarray, power: int, what: str) -> None:
     """Refuse a diagnostic whose n^power-weighted population reaches the top
     decile of levels: there the truncated sums stop approximating the
     untruncated ones."""
-    weighted = np.arange(pop.size, dtype=float) ** power * pop
+    weighted = _LEVEL_POWERS[power][:pop.size] * pop
     if fock._tail_fraction(weighted) >= 1e-10:
         raise ConvergenceError(f"{what} weight leaks into the top decile at dim {pop.size}")
 
@@ -79,13 +88,7 @@ def moments_oracle(state: PMCState) -> tuple[float, float, float, float]:
     truncated space)."""
     pop = np.abs(state.vector.amplitudes) ** 2
     _check_moment_headroom(pop, 4, "fourth-moment")
-    n = np.arange(pop.size, dtype=float)
-    falling = np.ones_like(n)
-    m = []
-    for j in (1, 2, 3, 4):
-        falling = falling * (n - (j - 1))
-        m.append(float(np.dot(falling, pop)))
-    return tuple(m)
+    return tuple(float(np.dot(falling[:pop.size], pop)) for falling in _FALLING)
 
 
 def moments_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> tuple[float, float, float, float]:
@@ -122,10 +125,10 @@ def a3(m) -> A3Result:
 def _ladder_expectations(vec: fock.FockVector) -> tuple[complex, complex, float]:
     """<a>, <a^2> and <a†a> as shifted vdots over neighbouring amplitudes."""
     c = vec.amplitudes
-    n = np.arange(c.size, dtype=float)
-    ea = complex(np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]))
-    ea2 = complex(np.vdot(c[:-2], np.sqrt(n[2:] * n[1:-1]) * c[2:]))
-    return ea, ea2, float(np.dot(n, np.abs(c) ** 2))
+    dim = c.size
+    ea = complex(np.vdot(c[:-1], fock._ROOTS[:dim - 1] * c[1:]))
+    ea2 = complex(np.vdot(c[:-2], _ROOT_PAIRS[2:dim] * c[2:]))
+    return ea, ea2, float(np.dot(_LEVELS[:dim], np.abs(c) ** 2))
 
 
 def squeezing_identities(state: PMCState) -> tuple[float, float]:
@@ -227,8 +230,7 @@ def _quasiprob_block(state: PMCState, gammas: list[complex], s: float, dim: int,
         amp, bound, norms = amp[live], bound[live], norms[live]
     amp = np.abs(amp)
     magnitudes = np.abs(weight) * amp * bound.real / norms
-    contexts = [f"s={s}, gamma={gammas[i]:.4g}" for i in live]
-    traces, errors = fock.trace_rows(weight * amp**2, contexts, magnitudes)
+    traces, errors = fock.trace_rows(weight * amp**2, lambda j: f"s={s}, gamma={gammas[live[j]]:.4g}", magnitudes)
     for i, trace, error in zip(live, traces, errors):
         out[i] = error if error is not None else 2.0 / (1.0 - s) * complex(trace).real
     return out
@@ -321,9 +323,8 @@ def fidelity_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> f
     """
     r2 = abs(complex(zeta)) ** 2
     log_r2 = math.log(r2) if r2 else -math.inf
-
-    entries = []
-    for k, l, log_t2 in weyl._lattice(params):
+    logs = []
+    for _, l, log_t2 in weyl._lattice(params):
         power = params.N - 2 * l
-        entries.append((log_t2 + (power * log_r2 if power else 0.0), 1.0))
-    return signed_log_sum(entries).real / norm_sq
+        logs.append(log_t2 + (power * log_r2 if power else 0.0))
+    return log_sum(logs) / norm_sq

@@ -4,22 +4,20 @@ Laguerre and physicists' Hermite polynomials go through three-term
 recurrences, each written once: ``laguerre_table`` is the row L_0 .. L_n
 that the closed forms index, and ``laguerre_eval`` its last entry,
 elementwise on arrays.  Every evaluator returns the value itself.  The
-two-parameter Hermite polynomial is assembled in log-magnitude + phase form,
-and the closed-form sums take their factorial weights as logs
-(``log_factorial_value``) and add their terms with ``signed_log_sum``, so
-that modulation powers up to the supported caps never overflow an
-intermediate product.
+closed-form sums take their factorial weights as logs
+(``log_factorial_value``) and add their terms with ``signed_log_sum``, or
+with its real-valued case ``log_sum`` where every term is positive, so that
+modulation powers up to the supported caps never overflow an intermediate
+product.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 MAX_POLY_DEGREE = 64
-MAX_BIVARIATE_DEGREE = 32
 MAX_FACTORIAL_ARG = 128
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
@@ -128,40 +126,17 @@ def signed_log_sum(entries) -> complex:
     return math.exp(top) * acc
 
 
-def two_param_hermite(m: int, n: int, z: complex) -> complex:
-    """Bivariate Hermite polynomial at the conjugate-pair argument (z, -z*):
-
-        m! n! sum_k (-1/2)^k (-z*)^(m-k) z^(n-k) / (k! (m-k)! (n-k)!)
-
-    for k = 0 .. min(m, n), assembled from log-space coefficients.
-    """
-    _check_degree(m, MAX_BIVARIATE_DEGREE, "bivariate Hermite")
-    _check_degree(n, MAX_BIVARIATE_DEGREE, "bivariate Hermite")
-    z = complex(z)
-    w = -z.conjugate()
-    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
-    log_abs_w = math.log(abs(w)) if w != 0 else -math.inf
-    arg_z = math.atan2(z.imag, z.real) if z != 0 else 0.0  # cmath.phase raises when the angle underflows
-    arg_w = math.atan2(w.imag, w.real) if w != 0 else 0.0
-    lbase = log_factorial_value(m) + log_factorial_value(n)
-
-    entries = []
-    for k in range(min(m, n) + 1):
-        if m - k > 0 and w == 0:
-            continue
-        if n - k > 0 and z == 0:
-            continue
-        lm = (
-            lbase
-            - log_factorial_value(k)
-            - log_factorial_value(m - k)
-            - log_factorial_value(n - k)
-            - k * math.log(2.0)
-            + (m - k) * (log_abs_w if m - k else 0.0)
-            + (n - k) * (log_abs_z if n - k else 0.0)
-        )
-        if lm > _LOG_DBL_MAX:
-            raise ValueError("term magnitude exceeds the double range")
-        phase = (-1.0) ** k * cmath.exp(1j * ((m - k) * arg_w + (n - k) * arg_z))
-        entries.append((lm, phase))
-    return complex(signed_log_sum(entries))
+def log_sum(logs) -> float:
+    """Sum of positive terms given as their logs: the real part of
+    ``signed_log_sum`` with every phase 1, bit for bit, in real arithmetic."""
+    logs = [lm for lm in logs if lm != -math.inf]
+    if not logs:
+        return 0.0
+    top = max(logs)
+    acc = 0.0
+    for lm in logs:
+        acc += math.exp(lm - top)
+    log_total = top + math.log(acc)
+    if log_total > _LOG_DBL_MAX:
+        raise ValueError(f"sum magnitude exp({log_total:.1f}) exceeds the double range")
+    return math.exp(top) * acc

@@ -12,8 +12,9 @@ the Weyl series of (mu a + nu a†)^N, cached per (|mu|, |nu|, N) by
 ``weyl._lattice``.  A closed-form call evaluates its Laguerre polynomials
 once, as a single row ``L_0 .. L_n`` at the call's argument
 (``specfun.laguerre_table``), and its per-term factors index into that row.
-``_laguerre_sum`` sums several Laguerre order shifts in one walk: shift 0 is
-the norm, shifts 1..4 the moments, so an A3 point walks the table twice.
+``_laguerre_sum`` sums several Laguerre order shifts in one walk (shift 0 is
+the norm, shifts 1..4 the moments, so an A3 point walks the table twice),
+taking log L_o, log o! and o log r2 once per order o of the row.
 A state carries both norms, so a sweep point builds its state once and reads
 the norm comparison from it.  ``build_states`` builds a sweep line's states
 in one padded pass of the ``fock`` row kernels per block, bit-identical to
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from . import fock, weyl
 from .errors import DegenerateStateError, outcome
-from .specfun import laguerre_table, log_factorial_value, signed_log_sum
+from .specfun import laguerre_table, log_factorial_value, log_sum
 from .weyl import ModulationParams
 
 
@@ -72,15 +73,18 @@ def _laguerre_sum(params: ModulationParams, r2: float, shifts: tuple[int, ...]) 
     prefix the recurrence makes equal to every shorter row.
     """
     log_r2 = math.log(r2) if r2 else -math.inf
-    lag = laguerre_table(params.N + max(shifts), -r2)  # positive for r2 >= 0
-    columns = [([], shift) for shift in shifts]
+    orders = range(params.N + max(shifts) + 1)
+    log_lags = [math.log(v) for v in laguerre_table(orders[-1], -r2)]  # positive for r2 >= 0
+    log_facts = [log_factorial_value(o) for o in orders]
+    log_powers = [o * log_r2 if o else 0.0 for o in orders]
+    columns = [[] for _ in shifts]
     for k, l, log_t2 in weyl._lattice(params):
         base = params.N - k - l
-        log_power = (k - l) * log_r2 if k - l else 0.0
-        for entries, shift in columns:
+        log_power = log_powers[k - l]
+        for entries, shift in zip(columns, shifts):
             order = base + shift
-            entries.append((log_t2 + (log_power + log_factorial_value(order) + math.log(lag[order])), 1.0))
-    return tuple(signed_log_sum(entries).real for entries, _ in columns)
+            entries.append(log_t2 + ((log_power + log_facts[order]) + log_lags[order]))
+    return tuple(log_sum(entries) for entries in columns)
 
 
 def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:

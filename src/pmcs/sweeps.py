@@ -12,7 +12,8 @@ oracle taking the whole gamma grid in one call.  State-based families
 additionally emit one ``norm_sq`` row per state point, the machine-readable
 record of the closed-form-vs-oracle norm gap.  Row order is the
 lexicographic grid order and all floats are printed with 17 significant
-digits, so reruns are byte-identical.
+digits, so reruns are byte-identical; a point's own CSV cells are
+formatted once and shared by its rows (``_csv_cells``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import cmath
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from . import nonclassical, states
@@ -283,6 +285,24 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _csv_cells(rows: list[SweepRow], quasi: bool):
+    """Each row's CSV cells from its fields.  A point's cells (mu, nu, N, r,
+    theta, s, truncation_dim, tail_mass) are reused while those fields are the
+    previous row's very objects: equal is not enough, 0.0 and -0.0 differ."""
+    last = lead = trail = None
+    for row in rows:
+        point = (row.mu, row.nu, row.N, row.r, row.theta, row.s, row.truncation_dim, row.tail_mass)
+        if last is None or not all(map(operator.is_, point, last)):
+            last = point
+            lead = [_fmt(v) for v in (row.mu.real, row.mu.imag, row.nu.real, row.nu.imag, row.N, row.r, row.theta)]
+            lead += [_fmt(row.s)] if quasi else []
+            trail = [_fmt(row.truncation_dim), _fmt(row.tail_mass)]
+        gamma = row.gamma
+        cells = [] if not quasi else ["", ""] if gamma is None else [_fmt(gamma.real), _fmt(gamma.imag)]
+        values = [_fmt(row.paper_value), _fmt(row.oracle_value), _fmt(row.rel_gap)]
+        yield lead + cells + [row.quantity, *values, *trail, row.error]
+
+
 def render(rows: list[SweepRow], family: str, fmt: str) -> str:
     """Serialize rows; CSV uses RFC-4180 quoting and 17 significant digits."""
     cols = columns_for(family)
@@ -293,9 +313,7 @@ def render(rows: list[SweepRow], family: str, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cols)
-        for row in rows:
-            rec = row.as_record(family)
-            writer.writerow([_fmt(rec[c]) for c in cols])
+        writer.writerows(_csv_cells(rows, family == "quasiprob"))
         return buf.getvalue()
     if fmt == "json":
         payload = [row.as_record(family) for row in rows]

@@ -58,11 +58,6 @@ class NormalOrderedSeries:
                 raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    def symbol(self, z: complex) -> complex:
-        """The normal-ordered symbol sum c_{m,n} (z*)^m z^n."""
-        z = complex(z)
-        return sum(c * z.conjugate() ** m * z**n for (m, n), c in self.terms.items())
-
 
 def _lattice(params: ModulationParams) -> tuple[tuple[int, int, float], ...]:
     """The (k, l, log |t_kl|^2) terms of the normal-ordered series

@@ -1,23 +1,33 @@
 """References for the tests: dense d x d ladder, number, identity and
-exp(-lam n̂) matrices, a normal-ordered series rebuilt as a matrix, the
-closed-form Laguerre sum one order shift per lattice walk, and a state and
-a sweep built one point at a time.
+exp(-lam n̂) matrices, a normal-ordered series rebuilt as a matrix and its
+symbol, the bivariate Hermite polynomial, the closed-form Laguerre sum one
+order shift per lattice walk, a state and a sweep built one point at a
+time, the oracle moments and squeezing identities with their level weights
+rebuilt per call, and a CSV/JSON rendering with one record and one format
+call per cell.
 
 The program works with banded contractions and never forms these matrices,
-it sums every order shift in one walk, and it builds a sweep line's states
-in one padded pass; the tests hold its results against these references.
+it sums every order shift in one walk, it builds a sweep line's states in
+one padded pass, it slices import-time level tables and it formats a
+point's leading CSV cells once; the tests hold its results against these
+references.
 """
 
 import cmath
+import csv
+import io
 import itertools
+import json
 import math
 import sys
 
 import numpy as np
 
 from pmcs import fock, states, sweeps, weyl
-from pmcs.errors import DegenerateStateError, outcome
-from pmcs.specfun import laguerre_table, log_factorial_value, signed_log_sum
+from pmcs.errors import ConvergenceError, DegenerateStateError, outcome
+from pmcs.specfun import _LOG_DBL_MAX, _check_degree, laguerre_table, log_factorial_value, signed_log_sum
+
+MAX_BIVARIATE_DEGREE = 32
 
 
 def ladder_ops(dim: int) -> tuple[fock.FockOperator, fock.FockOperator]:
@@ -135,3 +145,118 @@ def one_point_sweep(cfg: sweeps.SweepConfig) -> list[sweeps.SweepRow]:
         state = outcome(lambda: one_point_state(weyl.ModulationParams(mu, nu, n_pow), zeta, dim))
         rows.extend(sweeps._point_rows(cfg, mu, nu, n_pow, r, theta, dim, state))
     return rows
+
+def two_param_hermite(m: int, n: int, z: complex) -> complex:
+    """Bivariate Hermite polynomial at the conjugate-pair argument (z, -z*):
+
+        m! n! sum_k (-1/2)^k (-z*)^(m-k) z^(n-k) / (k! (m-k)! (n-k)!)
+
+    for k = 0 .. min(m, n), assembled from log-space coefficients.
+    """
+    _check_degree(m, MAX_BIVARIATE_DEGREE, "bivariate Hermite")
+    _check_degree(n, MAX_BIVARIATE_DEGREE, "bivariate Hermite")
+    z = complex(z)
+    w = -z.conjugate()
+    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
+    log_abs_w = math.log(abs(w)) if w != 0 else -math.inf
+    arg_z = math.atan2(z.imag, z.real) if z != 0 else 0.0  # cmath.phase raises when the angle underflows
+    arg_w = math.atan2(w.imag, w.real) if w != 0 else 0.0
+    lbase = log_factorial_value(m) + log_factorial_value(n)
+
+    entries = []
+    for k in range(min(m, n) + 1):
+        if m - k > 0 and w == 0:
+            continue
+        if n - k > 0 and z == 0:
+            continue
+        lm = (
+            lbase
+            - log_factorial_value(k)
+            - log_factorial_value(m - k)
+            - log_factorial_value(n - k)
+            - k * math.log(2.0)
+            + (m - k) * (log_abs_w if m - k else 0.0)
+            + (n - k) * (log_abs_z if n - k else 0.0)
+        )
+        if lm > _LOG_DBL_MAX:
+            raise ValueError("term magnitude exceeds the double range")
+        phase = (-1.0) ** k * cmath.exp(1j * ((m - k) * arg_w + (n - k) * arg_z))
+        entries.append((lm, phase))
+    return complex(signed_log_sum(entries))
+
+
+def symbol(series: weyl.NormalOrderedSeries, z: complex) -> complex:
+    """The normal-ordered symbol sum c_{m,n} (z*)^m z^n of a series."""
+    z = complex(z)
+    return sum(c * z.conjugate() ** m * z**n for (m, n), c in series.terms.items())
+
+
+def _check_moment_headroom(pop: np.ndarray, power: int, what: str) -> None:
+    weighted = np.arange(pop.size, dtype=float) ** power * pop
+    if fock._tail_fraction(weighted) >= 1e-10:
+        raise ConvergenceError(f"{what} weight leaks into the top decile at dim {pop.size}")
+
+
+def moments_oracle(state: states.PMCState) -> tuple[float, float, float, float]:
+    """``nonclassical.moments_oracle`` with its falling factorials rebuilt
+    per call from ``arange`` and products."""
+    pop = np.abs(state.vector.amplitudes) ** 2
+    _check_moment_headroom(pop, 4, "fourth-moment")
+    n = np.arange(pop.size, dtype=float)
+    falling = np.ones_like(n)
+    m = []
+    for j in (1, 2, 3, 4):
+        falling = falling * (n - (j - 1))
+        m.append(float(np.dot(falling, pop)))
+    return tuple(m)
+
+
+def squeezing_identities(state: states.PMCState) -> tuple[float, float]:
+    """``nonclassical.squeezing_identities`` with its level weights n^2,
+    sqrt(n), sqrt(n(n-1)) and n rebuilt per call."""
+    c = state.vector.amplitudes
+    _check_moment_headroom(np.abs(c) ** 2, 2, "second-moment")
+    n = np.arange(c.size, dtype=float)
+    ea = complex(np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]))
+    ea2 = complex(np.vdot(c[:-2], np.sqrt(n[2:] * n[1:-1]) * c[2:]))
+    en = float(np.dot(n, np.abs(c) ** 2))
+    ead, ead2 = ea.conjugate(), ea2.conjugate()
+    i1 = ea2 + ead2 - ea**2 - ead**2 - 2.0 * ea * ead + 2.0 * en
+    i2 = -ea2 - ead2 + ea**2 + ead**2 - 2.0 * ea * ead + 2.0 * en
+    return i1.real, i2.real
+
+
+def _record(row: sweeps.SweepRow, family: str) -> dict:
+    gamma = row.gamma
+    parts = {
+        "mu_re": row.mu.real, "mu_im": row.mu.imag,
+        "nu_re": row.nu.real, "nu_im": row.nu.imag,
+        "gamma_re": None if gamma is None else gamma.real,
+        "gamma_im": None if gamma is None else gamma.imag,
+    }
+    return {col: parts[col] if col in parts else getattr(row, col) for col in sweeps.columns_for(family)}
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def reference_render(rows: list, family: str, fmt: str) -> str:
+    """``sweeps.render`` from one column-keyed record per row and one
+    ``_fmt`` call per cell, nothing shared between rows."""
+    cols = sweeps.columns_for(family)
+    if fmt == "json":
+        return json.dumps([_record(row, family) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    for row in rows:
+        rec = _record(row, family)
+        writer.writerow([_fmt(rec[c]) for c in cols])
+    return buf.getvalue()

@@ -133,6 +133,63 @@ class TestAgainstDense:
             assert close(complex(g), r, float(amp.size))
 
 
+def _outcome_bits(fn, state: PMCState):
+    """fn(state) as the bytes of its values, or its refusal as (type, text)."""
+    try:
+        return np.array(fn(state)).tobytes()
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+
+
+class TestLevelTables:
+    """The diagnostics read level tables built once at import; the per-call
+    weights of ``dense_reference`` give the same bits and the same refusals."""
+
+    PAIRS = (
+        (nc.moments_oracle, dense_reference.moments_oracle),
+        (nc.squeezing_identities, dense_reference.squeezing_identities),
+    )
+
+    @staticmethod
+    def amplitudes(rng, dim: int):
+        """Random vectors with support clear of the top decile, at its edge
+        and across it, and vectors whose populations decay as exp(-n/scale)
+        with a top decile near the 1e-10 headroom threshold."""
+        n = np.arange(dim)
+        for support in (0.5, 0.9, 1.0):
+            width = math.ceil(support * dim)
+            amp = np.zeros(dim, dtype=complex)
+            amp[:width] = rng.normal(size=width) + 1j * rng.normal(size=width)
+            yield amp
+        for top_fraction in np.logspace(-8, -16, 9):
+            scale = 0.9 * dim / math.log(1.0 / top_fraction)
+            yield np.exp(-n / (2.0 * scale) + 1j * rng.uniform(0.0, 2.0 * math.pi, dim))
+
+    def test_every_dimension_up_to_the_cap(self):
+        rng = np.random.default_rng(15)
+        refused = accepted = 0
+        for dim in range(4, fock.DIM_CAP + 1):
+            for amp in self.amplitudes(rng, dim):
+                state = state_of(amp / np.linalg.norm(amp))
+                for got, want in self.PAIRS:
+                    outcome = _outcome_bits(want, state)
+                    assert _outcome_bits(got, state) == outcome, (dim, got.__name__)
+                    refused += isinstance(outcome, tuple)
+                    accepted += not isinstance(outcome, tuple)
+        assert refused and accepted
+
+    @pytest.mark.parametrize("n_pow", [1, 2, 6, 10])
+    def test_sweep_states(self, n_pow):
+        params = ModulationParams(1 / 3, 2 / 3, n_pow)
+        zetas = [r * np.exp(0.7j) for r in np.linspace(0.25, 6.0, 24)]
+        for dim in (None, 4, 16, fock.DIM_CAP):
+            for state in states.build_states(params, zetas, None if dim is None else [dim] * len(zetas)):
+                if isinstance(state, Exception):
+                    continue
+                for got, want in self.PAIRS:
+                    assert _outcome_bits(got, state) == _outcome_bits(want, state)
+
+
 class TestHeadroom:
     def test_squeezing_refuses_top_decile_weight(self):
         amp = np.zeros(40, dtype=complex)

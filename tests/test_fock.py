@@ -304,7 +304,7 @@ class TestTrace:
         vec, _ = fock.coherent_state(1.5, 28)
         growth = fock.FockOperator(np.diag(11.0 ** np.arange(28)).astype(complex))
         summand = vec.amplitudes.conj() * (growth.matrix @ vec.amplitudes)
-        _, (want,) = fock.trace_rows(summand[None, :], ["ctx"])
+        _, (want,) = fock.trace_rows(summand[None, :], lambda _: "ctx")
         with pytest.raises(ConvergenceError) as info:
             fock.density_and_trace(vec, growth, context="ctx")
         assert str(info.value) == str(want)
@@ -313,20 +313,20 @@ class TestTrace:
         # top decile 1e-10: 6.7e-11 of the magnitudes 1.5, but 2e-10 of the sum 0.5
         same_sign = np.array([1.0, 0.5] + [0.0] * 17 + [1e-10])
         alternating = same_sign * (-1.0) ** np.arange(20)
-        sums, (ok, refused) = fock.trace_rows(np.array([same_sign, alternating]), ["", ""])
+        sums, (ok, refused) = fock.trace_rows(np.array([same_sign, alternating]), lambda _: "")
         assert ok is None and sums[0] == pytest.approx(1.5)
         assert isinstance(refused, ConvergenceError) and "does not decay at dim 20" in str(refused)
 
     def test_cancellation_beyond_three_digits_raises(self):
         summand = np.array([1e4, -1e4 + 5.0] + [0.0] * 18)
-        sums, (refused, ok) = fock.trace_rows(np.array([summand, summand * 1e-2 + np.eye(20)[1]]), ["", ""])
+        sums, (refused, ok) = fock.trace_rows(np.array([summand, summand * 1e-2 + np.eye(20)[1]]), lambda _: "")
         assert isinstance(refused, ConvergenceError) and "cancels at dim 20" in str(refused)
         assert ok is None and sums[1] == pytest.approx(1.05)  # 2.3 digits
-        _, (error,) = fock.trace_rows(np.array([[1.0] + [0.0] * 19]), [""], np.full((1, 20), 100.0))
+        _, (error,) = fock.trace_rows(np.array([[1.0] + [0.0] * 19]), lambda _: "", np.full((1, 20), 100.0))
         assert isinstance(error, ConvergenceError) and "cancels" in str(error)
 
     def test_zero_sum_of_zeros_passes(self):
-        sums, errors = fock.trace_rows(np.zeros((1, 12)), [""])
+        sums, errors = fock.trace_rows(np.zeros((1, 12)), lambda _: "")
         assert errors == [None] and sums[0] == 0
 
     def test_rows_equal_one_row_calls(self):
@@ -334,10 +334,10 @@ class TestTrace:
         rows = [decaying, -decaying, 11.0 ** np.arange(20), np.array([1e4, -1e4 + 5.0] + [0.0] * 18), np.zeros(20)]
         for magnitudes in (None, np.full((len(rows), 20), 100.0)):
             contexts = [f"row {i}" for i in range(len(rows))]
-            sums, errors = fock.trace_rows(np.array(rows), contexts, magnitudes)
+            sums, errors = fock.trace_rows(np.array(rows), contexts.__getitem__, magnitudes)
             for i, (row, got, error) in enumerate(zip(rows, sums, errors)):
                 (want,), (want_error,) = fock.trace_rows(
-                    row[None, :], [contexts[i]], None if magnitudes is None else magnitudes[i][None, :]
+                    row[None, :], lambda _: contexts[i], None if magnitudes is None else magnitudes[i][None, :]
                 )
                 assert (type(error), str(error)) == (type(want_error), str(want_error))
                 assert complex(got) == complex(want)
@@ -368,3 +368,20 @@ class TestVectors:
         assert isinstance(errors[0], ConvergenceError) and errors[1] is None
         assert not amps[0].any()
         assert np.array_equal(amps[1], fock.coherent_state(1.0, 32)[0].amplitudes)
+
+
+class TestTailFractions:
+    @given(st.lists(
+        st.lists(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300), min_size=1, max_size=300), min_size=1, max_size=6,
+    ))
+    def test_one_row_and_own_levels_equal_the_row_sums_bit_for_bit(self, rows):
+        # each row alone, then padded with zeros to the widest: the 1-D sums
+        # repeat the row-axis sums of the array pass
+        width = max(len(row) for row in rows)
+        padded = np.zeros((len(rows), width))
+        for i, row in enumerate(rows):
+            padded[i, :len(row)] = row
+        own = [len(row) for row in rows]
+        alone = [fock._tail_fractions(np.array([row]))[0] for row in rows]
+        assert [fock._tail_fraction(np.array(row)).hex() for row in rows] == [v.hex() for v in alone]
+        assert [v.hex() for v in fock._tail_fractions(padded, own)] == [v.hex() for v in alone]

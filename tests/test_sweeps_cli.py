@@ -4,11 +4,14 @@ import math
 import pathlib
 import re
 import runpy
+import struct
 import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
+import dense_reference
 from pmcs import cli, nonclassical, states, sweeps, weyl
 from pmcs.errors import ConfigError
 from pmcs.sweeps import GammaGrid, QuasiSpec, SweepConfig, ZetaGrid
@@ -409,6 +412,74 @@ class TestEngineFamilyMatrix:
             assert [(row.s, row.gamma) for row in rows] == [(-0.5, g) for g in cfg.quasi.gamma.points()]
         else:
             assert all(row.s is None and row.gamma is None for row in rows)
+
+
+def _clone(value: float) -> float:
+    """An equal float that is a distinct object."""
+    return struct.unpack("d", struct.pack("d", value))[0]
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+_REALS = st.floats() | _SIGNED_ZEROS
+_CELLS = st.none() | _REALS
+_TEXT = st.text(alphabet='ab ,"\'\n;:', max_size=12)  # commas, quotes and line breaks need CSV quoting
+
+
+@st.composite
+def sweep_rows(draw):
+    """Rows whose point fields (mu, nu, N, r, theta, s, truncation_dim,
+    tail_mass) change from row to row in every way a renderer could confuse:
+    not at all (the same objects, as a sweep's rows of one point share them),
+    to equal but distinct objects, to 0.0 or -0.0 in r, theta or tail_mass,
+    or to new values."""
+    rows, point = [], None
+    for _ in range(draw(st.integers(0, 8))):
+        change = draw(st.sampled_from(["same", "clone", "signed zero", "new"])) if point else "new"
+        if change == "new":
+            point = dict(
+                mu=complex(draw(_REALS), draw(_REALS)), nu=complex(draw(_REALS), draw(_REALS)),
+                N=draw(st.integers(0, 300)), r=draw(_REALS), theta=draw(_REALS), s=draw(_CELLS),
+                truncation_dim=draw(st.none() | st.integers(0, 300)), tail_mass=draw(_CELLS),
+            )
+        elif change == "clone":
+            point = {
+                key: complex(value.real, value.imag) if isinstance(value, complex)
+                else _clone(value) if isinstance(value, float) else value
+                for key, value in point.items()
+            }
+        elif change == "signed zero":
+            point = dict(point, **{draw(st.sampled_from(["r", "theta", "tail_mass"])): draw(_SIGNED_ZEROS)})
+        rows.append(sweeps.SweepRow(
+            quantity=draw(_TEXT), gamma=draw(st.none() | st.builds(complex, _REALS, _REALS)),
+            paper_value=draw(_CELLS), oracle_value=draw(_CELLS), rel_gap=draw(_CELLS), error=draw(_TEXT), **point,
+        ))
+    return rows
+
+
+class TestRender:
+    """``sweeps.render`` against ``dense_reference.reference_render``, which
+    formats every cell of every row from its own record."""
+
+    @given(st.sampled_from(sweeps.FAMILIES), sweep_rows())
+    def test_render_equals_the_reference(self, family, rows):
+        for fmt in sweeps.FORMATS:
+            assert sweeps.render(rows, family, fmt) == dense_reference.reference_render(rows, family, fmt)
+
+    @pytest.mark.parametrize("field,column", [("r", 5), ("theta", 6), ("tail_mass", 12)])
+    def test_equal_point_fields_of_another_sign_are_not_shared(self, field, column):
+        first = sweeps.SweepRow(mu=0j, nu=1 + 0j, N=1, r=0.0, theta=0.0, quantity="a3", tail_mass=0.0)
+        rows = [first, replace(first, **{field: -0.0})]
+        text = sweeps.render(rows, "a3", "csv")
+        assert text == dense_reference.reference_render(rows, "a3", "csv")
+        assert [line.split(",")[column] for line in text.splitlines()[1:]] == ["0", "-0"]
+
+    @pytest.mark.parametrize("engine", sweeps.ENGINES)
+    @pytest.mark.parametrize("name", sweeps.PRESET_NAMES)
+    def test_presets_render_as_the_reference(self, name, engine):
+        cfg = replace(sweeps.preset_config(name), engine=engine)
+        rows = sweeps.run_sweep(cfg)
+        for fmt in sweeps.FORMATS:
+            assert sweeps.render(rows, cfg.family, fmt) == dense_reference.reference_render(rows, cfg.family, fmt)
 
 
 class TestPresetCoverage:
