@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import replace
 
-from . import states, sweeps, wavefunctions, weyl
+from . import fock, states, sweeps, wavefunctions, weyl
 from .errors import ConfigError, ConvergenceError, DegenerateStateError
 
 
@@ -109,7 +109,7 @@ def _cmd_state_build(args) -> int:
         "N": params.N,
         "zeta": [zeta.real, zeta.imag],
         "dim": state.dim,
-        "basis_offset": state.vector.basis_offset,
+        "basis_offset": fock.BASIS_OFFSET,
         "amplitudes": [[a.real, a.imag] for a in state.vector.amplitudes],
         "norm_sq_paper": state.norm_sq_paper,
         "norm_sq_oracle": state.norm_sq_oracle,

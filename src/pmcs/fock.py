@@ -1,7 +1,7 @@
 """Truncated Fock-space linear algebra: the brute-force oracle.
 
 Everything here acts on the logical ladder n = 0, 1, 2, ...; the physical
-oscillator level it labels is n + basis_offset (offset 3: the potential's
+oscillator level it labels is n + BASIS_OFFSET (offset 3: the potential's
 levels 1 and 2 are excluded and its detached ground state sits below the
 ladder, bookkeeping that only matters in the position-space layer).
 """
@@ -20,6 +20,7 @@ from .specfun import log_factorial_value
 from .weyl import ModulationParams
 
 DIM_CAP = 256
+BASIS_OFFSET = 3
 TAIL_TOL = 1e-12
 GRID_ROWS = 64  # rows per array pass: bounds a block's working set at 64 x 256 levels
 _HALF_LOG_FACTORIALS = 0.5 * np.array([log_factorial_value(k) for k in range(DIM_CAP)])
@@ -64,7 +65,6 @@ class FockVector:
     """Truncated state vector on the logical ladder."""
 
     amplitudes: np.ndarray
-    basis_offset: int = 3
 
     def __post_init__(self):
         amp = _freeze(self.amplitudes)
@@ -92,10 +92,9 @@ class FockVector:
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Dense operator matrix with a provenance label."""
+    """Dense operator matrix."""
 
     matrix: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         mat = _freeze(self.matrix)
@@ -288,7 +287,7 @@ def apply_superposed_power(params: ModulationParams, vec: FockVector, shift: com
     amps, _, (error,) = superposed_power_rows(params, vec.amplitudes[None, :], [shift])
     if error is not None:
         raise error
-    return FockVector(amps[0], vec.basis_offset) if params.N else vec
+    return FockVector(amps[0]) if params.N else vec
 
 
 @lru_cache(maxsize=8)
@@ -312,7 +311,7 @@ def displacement(gamma: complex, dim: int) -> FockOperator:
     _check_dim(dim)
     gamma = complex(gamma)
     if gamma == 0:
-        return FockOperator(np.eye(dim, dtype=complex), label="D(0)")
+        return FockOperator(np.eye(dim, dtype=complex))
     r = abs(gamma)
     phi = math.atan2(gamma.imag, gamma.real)
     evals, evecs = _unit_displacement_eig(dim)
@@ -322,7 +321,7 @@ def displacement(gamma: complex, dim: int) -> FockOperator:
         core = (phases[:, None] * core) * phases.conj()[None, :]
     if not np.all(np.isfinite(core)):
         raise ConvergenceError(f"displacement exponential failed for gamma={gamma}")
-    return FockOperator(core, label=f"D({gamma:.6g})")
+    return FockOperator(core)
 
 
 def expectation(op: FockOperator, vec: FockVector) -> complex:

@@ -375,11 +375,19 @@ def parse_complex(value) -> complex:
     raise ConfigError(f"cannot parse complex value {value!r}")
 
 
+def _integer(value) -> int:
+    """An integer config value: a boolean or a non-integral number is refused,
+    not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_zeta(block: dict, grid=ZetaGrid) -> ZetaGrid:
     return grid(
         r_min=float(block["r_min"]),
         r_max=float(block["r_max"]),
-        r_steps=int(block["r_steps"]),
+        r_steps=_integer(block["r_steps"]),
         thetas=tuple(float(t) for t in block.get("thetas", [0.0])),
     )
 
@@ -399,10 +407,10 @@ _CONFIG_KEYS = {
     "format": ("format", str),
     "mu": ("mu", _tuple_of(parse_complex)),
     "nu": ("nu", _tuple_of(parse_complex)),
-    "N": ("n_values", _tuple_of(int)),
+    "N": ("n_values", _tuple_of(_integer)),
     "zeta": ("zeta", _parse_zeta),
     "quasi": ("quasi", _parse_quasi),
-    "dim_override": ("dim_override", lambda v: None if v is None else int(v)),
+    "dim_override": ("dim_override", lambda v: None if v is None else _integer(v)),
 }
 
 
@@ -435,7 +443,7 @@ def load_config(path: str, base: SweepConfig | None = None, family: str | None =
         field, parse = _CONFIG_KEYS[key]
         try:
             updates[field] = parse(value)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
             raise ConfigError(f"malformed {key} {value!r}: {exc}") from exc
     cfg = replace(base, **updates)
     cfg.validate()

@@ -1,5 +1,4 @@
-"""Ordering engine: normal-ordered series for (mu a + nu a†)^N, (a†a)^j and
-exp(-lam a†a).
+"""Ordering engine: normal-ordered series for (mu a + nu a†)^N and (a†a)^j.
 
 Because mu a + nu a† commutes with itself, the symmetric-ordered expansion of
 its N-th power is the operator power itself, so the series rebuilt as a
@@ -113,36 +112,6 @@ def expand_number_power(j: int) -> NormalOrderedSeries:
     for level in range(1, j + 1):
         row = [0] + [i * (row[i] if i < level else 0) + row[i - 1] for i in range(1, level + 1)]
     return NormalOrderedSeries({(i, i): complex(row[i]) for i in range(1, j + 1)})
-
-
-def expand_exp_number(lam: complex) -> tuple[complex, complex]:
-    """Scalars (A, c) of the symmetric-ordered form of exp(-lam a†a):
-
-        A = 2 / (1 + e^(-lam)),   c = -2 (1 - e^(-lam)) / (1 + e^(-lam)).
-
-    The pair represents the operator through its ordered symbol A exp(c |alpha|^2);
-    use ``exp_number_coherent_expectation`` to evaluate coherent-state elements.
-    """
-    lam = complex(lam)
-    w = cmath.exp(-lam)
-    denom = 1.0 + w
-    if abs(denom) < 1e-12:
-        raise ValueError(f"pole at exp(-lam) = -1 (lam = {lam})")
-    return 2.0 / denom, -2.0 * (1.0 - w) / denom
-
-
-def exp_number_coherent_expectation(lam: complex, alpha: complex) -> complex:
-    """<alpha| exp(-lam n̂) |alpha> reconstructed from the ordered scalars.
-
-    A symbol A exp(c |.|^2) turns into a coherent expectation through Gaussian
-    smoothing: (2A / (2 - c)) exp(2c |alpha|^2 / (2 - c)); for the scalars of
-    ``expand_exp_number`` this collapses to exp(-(1 - e^(-lam)) |alpha|^2).
-    """
-    pref, coeff = expand_exp_number(lam)
-    denom = 2.0 - coeff
-    if abs(denom) < 1e-12:
-        raise ValueError("smoothing denominator vanished")
-    return (2.0 * pref / denom) * cmath.exp(2.0 * coeff * abs(alpha) ** 2 / denom)
 
 
 def series_as_json_dict(params: ModulationParams) -> dict:

@@ -34,17 +34,17 @@ def ladder_ops(dim: int) -> tuple[fock.FockOperator, fock.FockOperator]:
     """Annihilation and creation matrices: <m|a|n> = sqrt(n) delta_{m,n-1}."""
     fock._check_dim(dim)
     a = fock._ladder_matrix(dim)
-    return fock.FockOperator(a, label="a"), fock.FockOperator(a.conj().T, label="a†")
+    return fock.FockOperator(a), fock.FockOperator(a.conj().T)
 
 
 def number_operator(dim: int) -> fock.FockOperator:
     fock._check_dim(dim)
-    return fock.FockOperator(np.diag(np.arange(dim, dtype=float)).astype(complex), label="n")
+    return fock.FockOperator(np.diag(np.arange(dim, dtype=float)).astype(complex))
 
 
 def identity(dim: int) -> fock.FockOperator:
     fock._check_dim(dim)
-    return fock.FockOperator(np.eye(dim, dtype=complex), label="I")
+    return fock.FockOperator(np.eye(dim, dtype=complex))
 
 
 def operator_exp_number(lam: complex, dim: int) -> fock.FockOperator:
@@ -55,7 +55,7 @@ def operator_exp_number(lam: complex, dim: int) -> fock.FockOperator:
     if top > math.log(np.finfo(float).max):
         raise ValueError(f"exp(-lam n) overflows the double range at n={dim - 1} for lam={lam}")
     diag = np.exp(-lam * np.arange(dim))
-    return fock.FockOperator(np.diag(diag), label=f"exp(-{lam:.6g}·n)")
+    return fock.FockOperator(np.diag(diag))
 
 
 def _ladder_amplitude(level: int, n_low: int, m_up: int) -> float:
@@ -90,7 +90,7 @@ def series_to_matrix(series, dim: int) -> fock.FockOperator:
             if out >= dim:
                 continue
             mat[out, level] += coeff * _ladder_amplitude(level, n, m)
-    return fock.FockOperator(mat, label="series")
+    return fock.FockOperator(mat)
 
 
 def laguerre_sum_one_shift(params, r2: float, shift: int) -> float:
@@ -127,7 +127,7 @@ def one_point_state(params, zeta: complex, dim: int | None = None) -> states.PMC
     nsq_paper = states.paper_norm_sq(params, zeta)
     amps, _ = fock.normalize_rows(raw.amplitudes[None, :], [nsq_oracle], [None])
     return states.PMCState(
-        params=params, zeta=zeta, vector=fock.FockVector(amps[0], raw.basis_offset),
+        params=params, zeta=zeta, vector=fock.FockVector(amps[0]),
         norm_sq_paper=nsq_paper, norm_sq_oracle=nsq_oracle,
         discrepancy=abs(nsq_paper - nsq_oracle) / nsq_oracle,
     )

