@@ -110,11 +110,11 @@ def _cmd_state_build(args) -> int:
         "zeta": [zeta.real, zeta.imag],
         "dim": state.dim,
         "basis_offset": fock.BASIS_OFFSET,
-        "amplitudes": [[a.real, a.imag] for a in state.vector.amplitudes],
+        "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
         "norm_sq_paper": state.norm_sq_paper,
         "norm_sq_oracle": state.norm_sq_oracle,
         "discrepancy": state.discrepancy,
-        "tail_mass": state.tail_mass(),
+        "tail_mass": state.tail_mass,
     }
     _write(json.dumps(doc, indent=2) + "\n", args.out)
     return 0

@@ -4,6 +4,10 @@ Everything here acts on the logical ladder n = 0, 1, 2, ...; the physical
 oscillator level it labels is n + BASIS_OFFSET (offset 3: the potential's
 levels 1 and 2 are excluded and its detached ground state sits below the
 ladder, bookkeeping that only matters in the position-space layer).
+
+The sweep path works on blocks of rows (the ``*_rows`` kernels).
+``FockVector`` is the one-row reference type of ``coherent_state``,
+``apply_superposed_power``, ``expectation`` and ``density_and_trace``.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def _norms_sq(amps: np.ndarray, own: list[int] | None = None) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Truncated state vector on the logical ladder."""
+    """A checked, frozen truncated vector: the one-row reference type."""
 
     amplitudes: np.ndarray
 
@@ -77,17 +81,6 @@ class FockVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def tail_mass(self) -> float:
-        return _tail_fraction(np.abs(self.amplitudes) ** 2)
-
-    def inner(self, other: "FockVector") -> complex:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)

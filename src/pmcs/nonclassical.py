@@ -86,7 +86,7 @@ def moments_oracle(state: PMCState) -> tuple[float, float, float, float]:
     """The factorial moments m_j = <a†^j a^j> = sum_n n!/(n-j)! p_n, j = 1..4,
     over the populations p_n = |c_n|^2 (a†^j a^j is diagonal, also in the
     truncated space)."""
-    pop = np.abs(state.vector.amplitudes) ** 2
+    pop = np.abs(state.amplitudes) ** 2
     _check_moment_headroom(pop, 4, "fourth-moment")
     return tuple(float(np.dot(falling[:pop.size], pop)) for falling in _FALLING)
 
@@ -122,9 +122,8 @@ def a3(m) -> A3Result:
     return A3Result(det_m=det_m, det_mu=det_mu, a3=det_m / denom)
 
 
-def _ladder_expectations(vec: fock.FockVector) -> tuple[complex, complex, float]:
-    """<a>, <a^2> and <a†a> as shifted vdots over neighbouring amplitudes."""
-    c = vec.amplitudes
+def _ladder_expectations(c: np.ndarray) -> tuple[complex, complex, float]:
+    """<a>, <a^2> and <a†a> as shifted vdots over neighbouring amplitudes c."""
     dim = c.size
     ea = complex(np.vdot(c[:-1], fock._ROOTS[:dim - 1] * c[1:]))
     ea2 = complex(np.vdot(c[:-2], _ROOT_PAIRS[2:dim] * c[2:]))
@@ -143,9 +142,8 @@ def squeezing_identities(state: PMCState) -> tuple[float, float]:
     the top-decile headroom test uses that weight.  Both are real: every
     term comes with its conjugate.
     """
-    vec = state.vector
-    _check_moment_headroom(np.abs(vec.amplitudes) ** 2, 2, "second-moment")
-    ea, ea2, en = _ladder_expectations(vec)
+    _check_moment_headroom(np.abs(state.amplitudes) ** 2, 2, "second-moment")
+    ea, ea2, en = _ladder_expectations(state.amplitudes)
     ead, ead2 = ea.conjugate(), ea2.conjugate()
     i1 = ea2 + ead2 - ea**2 - ead**2 - 2.0 * ea * ead + 2.0 * en
     i2 = -ea2 - ead2 + ea**2 + ead**2 - 2.0 * ea * ead + 2.0 * en
@@ -310,8 +308,8 @@ def quasiprob_paper(
 
 def fidelity_oracle(state: PMCState) -> float:
     """|<zeta | N, zeta>|^2 through the truncated inner product."""
-    ref, _ = fock.coherent_state(state.zeta, state.vector.dim)
-    return abs(ref.inner(state.vector)) ** 2
+    ref, _ = fock.coherent_state(state.zeta, state.dim)
+    return abs(complex(np.vdot(ref.amplitudes, state.amplitudes))) ** 2
 
 
 def fidelity_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> float:

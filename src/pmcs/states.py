@@ -18,7 +18,9 @@ taking log L_o, log o! and o log r2 once per order o of the row.
 A state carries both norms, so a sweep point builds its state once and reads
 the norm comparison from it.  ``build_states`` builds a sweep line's states
 in one padded pass of the ``fock`` row kernels per block, bit-identical to
-one point at a time; ``build_state`` is its one-point case.
+one point at a time; ``build_state`` is its one-point case.  A state is its
+normalized block row (a read-only view of the block) plus the tail mass the
+builder computes once per block.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fock, weyl
 from .errors import DegenerateStateError, outcome
@@ -48,17 +52,15 @@ class NormComparison:
 class PMCState:
     params: ModulationParams
     zeta: complex
-    vector: fock.FockVector
+    amplitudes: np.ndarray  # read-only view of the state's normalized block row
     norm_sq_paper: float
     norm_sq_oracle: float
     discrepancy: float
+    tail_mass: float
 
     @property
     def dim(self) -> int:
-        return self.vector.dim
-
-    def tail_mass(self) -> float:
-        return self.vector.tail_mass()
+        return self.amplitudes.size
 
 
 def _laguerre_sum(params: ModulationParams, r2: float, shifts: tuple[int, ...]) -> tuple[float, ...]:
@@ -140,11 +142,13 @@ def _build_block(params: ModulationParams, zetas: list[complex], dims: list) -> 
                 "the operator annihilates the input, or the norm underflows the double range"
             )
     amps, _ = fock.normalize_rows(raw, nsq, errors)
+    amps.setflags(write=False)
+    tails = fock._tail_fractions(np.abs(amps) ** 2, own)
     for j, i in enumerate(live):
         paper = errors[j] or outcome(paper_norm_sq, params, zetas[i])
         out[i] = paper if isinstance(paper, Exception) else PMCState(
-            params=params, zeta=zetas[i], vector=fock.FockVector(amps[j, :dims[i]]),
-            norm_sq_paper=paper, norm_sq_oracle=nsq[j], discrepancy=abs(paper - nsq[j]) / nsq[j],
+            params=params, zeta=zetas[i], amplitudes=amps[j, :dims[i]], norm_sq_paper=paper,
+            norm_sq_oracle=nsq[j], discrepancy=abs(paper - nsq[j]) / nsq[j], tail_mass=tails[j],
         )
     return out
 

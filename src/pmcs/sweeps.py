@@ -234,7 +234,7 @@ def _point_rows(cfg: SweepConfig, mu: complex, nu: complex, n_pow: int, r: float
             for quantity in quantities if quasi else ("norm_sq",) + quantities:
                 yield SweepRow(quantity=quantity, gamma=gamma, error=_describe(state), **base)
         return
-    base["tail_mass"] = state.tail_mass()
+    base["tail_mass"] = state.tail_mass
     if not quasi:
         yield SweepRow(
             quantity="norm_sq", paper_value=state.norm_sq_paper, oracle_value=state.norm_sq_oracle,
@@ -362,8 +362,8 @@ def preset_config(name: str) -> SweepConfig:
 
 def parse_complex(value) -> complex:
     """A complex number from a config value or a CLI flag: a number, a string
-    such as '0.5+0.3j', or a [re, im] pair."""
-    if isinstance(value, (int, float)):
+    such as '0.5+0.3j', or a [re, im] pair of reals.  A boolean is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, str):
         try:
@@ -371,8 +371,15 @@ def parse_complex(value) -> complex:
         except ValueError as exc:
             raise ConfigError(f"cannot parse complex value {value!r}") from exc
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real(value[0]), _real(value[1]))
     raise ConfigError(f"cannot parse complex value {value!r}")
+
+
+def _real(value) -> float:
+    """A real config value, a number or a string such as 'nan'; not a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a real number, got {value!r}")
+    return float(value)
 
 
 def _integer(value) -> int:
@@ -383,21 +390,28 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _array(values) -> list:
+    """A JSON array config value; a string is refused, not iterated."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a JSON array, got {values!r}")
+    return values
+
+
+def _tuple_of(parse):
+    return lambda values: tuple(parse(v) for v in _array(values))
+
+
 def _parse_zeta(block: dict, grid=ZetaGrid) -> ZetaGrid:
     return grid(
-        r_min=float(block["r_min"]),
-        r_max=float(block["r_max"]),
+        r_min=_real(block["r_min"]),
+        r_max=_real(block["r_max"]),
         r_steps=_integer(block["r_steps"]),
-        thetas=tuple(float(t) for t in block.get("thetas", [0.0])),
+        thetas=_tuple_of(_real)(block.get("thetas", [0.0])),
     )
 
 
 def _parse_quasi(block: dict) -> QuasiSpec:
-    return QuasiSpec(s=float(block["s"]), gamma=_parse_zeta(block["gamma"], GammaGrid))
-
-
-def _tuple_of(parse):
-    return lambda values: tuple(parse(v) for v in values)
+    return QuasiSpec(s=_real(block["s"]), gamma=_parse_zeta(block["gamma"], GammaGrid))
 
 
 # config key -> (SweepConfig field, parser of the key's JSON value)

@@ -118,7 +118,7 @@ def one_point_state(params, zeta: complex, dim: int | None = None) -> states.PMC
         dim = fock.default_dim(zeta, params.N)
     base, _ = fock.coherent_state(zeta, dim)
     raw = fock.apply_superposed_power(params, base)
-    nsq_oracle = raw.norm_sq()
+    nsq_oracle = float(np.vdot(raw.amplitudes, raw.amplitudes).real)
     if not nsq_oracle >= sys.float_info.min:
         raise DegenerateStateError(
             f"(mu a + nu a†)^{params.N} |zeta={zeta}> has squared norm {nsq_oracle:.3g}: "
@@ -126,10 +126,12 @@ def one_point_state(params, zeta: complex, dim: int | None = None) -> states.PMC
         )
     nsq_paper = states.paper_norm_sq(params, zeta)
     amps, _ = fock.normalize_rows(raw.amplitudes[None, :], [nsq_oracle], [None])
+    vec = fock.FockVector(amps[0])
     return states.PMCState(
-        params=params, zeta=zeta, vector=fock.FockVector(amps[0]),
+        params=params, zeta=zeta, amplitudes=vec.amplitudes,
         norm_sq_paper=nsq_paper, norm_sq_oracle=nsq_oracle,
         discrepancy=abs(nsq_paper - nsq_oracle) / nsq_oracle,
+        tail_mass=fock._tail_fraction(np.abs(vec.amplitudes) ** 2),
     )
 
 
@@ -200,7 +202,7 @@ def _check_moment_headroom(pop: np.ndarray, power: int, what: str) -> None:
 def moments_oracle(state: states.PMCState) -> tuple[float, float, float, float]:
     """``nonclassical.moments_oracle`` with its falling factorials rebuilt
     per call from ``arange`` and products."""
-    pop = np.abs(state.vector.amplitudes) ** 2
+    pop = np.abs(state.amplitudes) ** 2
     _check_moment_headroom(pop, 4, "fourth-moment")
     n = np.arange(pop.size, dtype=float)
     falling = np.ones_like(n)
@@ -214,7 +216,7 @@ def moments_oracle(state: states.PMCState) -> tuple[float, float, float, float]:
 def squeezing_identities(state: states.PMCState) -> tuple[float, float]:
     """``nonclassical.squeezing_identities`` with its level weights n^2,
     sqrt(n), sqrt(n(n-1)) and n rebuilt per call."""
-    c = state.vector.amplitudes
+    c = state.amplitudes
     _check_moment_headroom(np.abs(c) ** 2, 2, "second-moment")
     n = np.arange(c.size, dtype=float)
     ea = complex(np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]))

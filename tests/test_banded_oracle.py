@@ -43,8 +43,8 @@ def normalized_amplitudes(draw, min_dim=4, max_dim=64, support=1.0):
 
 def state_of(amp: np.ndarray) -> PMCState:
     return PMCState(
-        params=ModulationParams(0, 1, 0), zeta=0j, vector=fock.FockVector(amp),
-        norm_sq_paper=1.0, norm_sq_oracle=1.0, discrepancy=0.0,
+        params=ModulationParams(0, 1, 0), zeta=0j, amplitudes=amp,
+        norm_sq_paper=1.0, norm_sq_oracle=1.0, discrepancy=0.0, tail_mass=fock._tail_fraction(np.abs(amp) ** 2),
     )
 
 
@@ -128,7 +128,7 @@ class TestAgainstDense:
         # truncated d x d products.
         a, ad, expect = dense(amp)
         ref = [expect(m) for m in (a, a @ a, ad @ a)]
-        got = nc._ladder_expectations(fock.FockVector(amp))
+        got = nc._ladder_expectations(amp)
         for g, r in zip(got, ref):
             assert close(complex(g), r, float(amp.size))
 

@@ -25,8 +25,8 @@ def outcome(state):
     if isinstance(state, Exception):
         return type(state), str(state)
     return (
-        state.vector.amplitudes.tobytes(), state.dim, state.zeta,
-        state.norm_sq_paper.hex(), state.norm_sq_oracle.hex(), state.discrepancy.hex(), state.tail_mass().hex(),
+        state.amplitudes.tobytes(), state.dim, state.zeta,
+        state.norm_sq_paper.hex(), state.norm_sq_oracle.hex(), state.discrepancy.hex(), state.tail_mass.hex(),
     )
 
 
@@ -150,3 +150,27 @@ def test_peak_memory_is_bounded_by_the_block_not_the_line():
 
     small, large = peak(2 * fock.GRID_ROWS), peak(4096)
     assert large - small < 1_000_000  # the per-point bookkeeping only
+
+
+def test_a_state_is_a_read_only_view_of_its_block_row():
+    built = list(states.build_states(ModulationParams(1 / 3, 2 / 3, 2), [0.5, 1.0, 2.0]))
+    for state in built:
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 0.0
+    assert built[0].amplitudes.base is not None and built[0].amplitudes.base is built[1].amplitudes.base
+
+
+@pytest.mark.parametrize("preset,count", [("fig1", 0), ("fig2", 0), ("fig3a", 0), ("fig3b", 0), ("fig4", 60)])
+def test_sweeps_construct_fock_vectors_only_for_the_fidelity_reference(monkeypatch, preset, count):
+    # a built state is its block row: the only FockVector left on the sweep
+    # path is fidelity_oracle's coherent reference, one per state point
+    constructed = []
+    original = fock.FockVector.__post_init__
+
+    def counting(self):
+        constructed.append(self)
+        original(self)
+
+    monkeypatch.setattr(fock.FockVector, "__post_init__", counting)
+    sweeps.run_sweep(sweeps.preset_config(preset))
+    assert len(constructed) == count

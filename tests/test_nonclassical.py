@@ -43,7 +43,7 @@ class TestMomentsOracle:
     def test_first_moments_agree(self):
         state = states.build_state(ModulationParams(1 / 3, 2 / 3, 2), 1.2)
         m = nc.moments_oracle(state)
-        pop = np.abs(state.vector.amplitudes) ** 2
+        pop = np.abs(state.amplitudes) ** 2
         assert m[0] == pytest.approx(float(np.dot(np.arange(pop.size), pop)), rel=1e-12)  # m_1 = <n>
         assert m[1] + m[0] >= m[0] ** 2 - 1e-12  # variance nonnegativity: mu_2 = m_2 + m_1
         assert all(isinstance(v, float) for v in m)
@@ -238,7 +238,7 @@ class TestSqueezing:
         # a a† drops the top level: they are (1 + I)/2 less d p_{d-1}/2
         state = states.build_state(params, zeta)
         i1, i2 = nc.squeezing_identities(state)
-        amp = state.vector.amplitudes
+        amp = state.amplitudes
         a, ad = (op.matrix for op in dense_reference.ladder_ops(amp.size))
         top = amp.size * abs(amp[-1]) ** 2 / 2.0
         for q, ident in (((a + ad) / math.sqrt(2.0), i1), (1j * (ad - a) / math.sqrt(2.0), i2)):

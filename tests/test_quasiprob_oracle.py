@@ -182,7 +182,7 @@ class TestAgainstDense:
         got = oracle_or_skip(params, zeta, gamma, s, dim)
         state = states.build_state(params, zeta, dim)
         disp = fock.displacement(gamma, dim).matrix
-        displaced = fock.FockVector(disp.conj().T @ state.vector.amplitudes)
+        displaced = fock.FockVector(disp.conj().T @ state.amplitudes)
         weight = fock.FockOperator(np.diag(((1.0 + s) / (s - 1.0)) ** np.arange(dim)))
         try:
             trace = fock.density_and_trace(displaced, weight)

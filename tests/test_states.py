@@ -65,7 +65,7 @@ class TestBuildState:
         zeta = 0.8 - 0.2j
         state = states.build_state(ModulationParams(0.3, 0.7, 0), zeta)
         ref, _ = fock.coherent_state(zeta, state.dim)
-        assert np.allclose(state.vector.amplitudes, ref.amplitudes, atol=1e-12)
+        assert np.allclose(state.amplitudes, ref.amplitudes, atol=1e-12)
         assert state.norm_sq_paper == 1.0
         assert state.norm_sq_oracle == pytest.approx(1.0, abs=1e-12)
         assert state.discrepancy <= 1e-12
@@ -108,12 +108,12 @@ class TestBuildState:
         _, ad = dense_reference.ladder_ops(state.dim)
         raw = np.linalg.matrix_power(ad.matrix, n_pow) @ base.amplitudes
         raw /= np.linalg.norm(raw)
-        assert np.allclose(state.vector.amplitudes, raw, atol=1e-12)
+        assert np.allclose(state.amplitudes, raw, atol=1e-12)
 
     def test_added_vacuum_has_no_low_levels(self):
         state = states.build_state(ModulationParams(0, 1, 3), 0.0)
-        assert np.all(state.vector.amplitudes[:3] == 0)
-        assert abs(state.vector.amplitudes[3]) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(state.amplitudes[:3] == 0)
+        assert abs(state.amplitudes[3]) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False))
     def test_global_rescaling_invariance(self, scale):
@@ -124,14 +124,14 @@ class TestBuildState:
         b = states.build_state(scaled, zeta, dim=48)
         # normalization cancels the scale up to a global phase of scale^N
         phase = (scale / abs(scale)) ** 2
-        assert np.allclose(b.vector.amplitudes, phase * a.vector.amplitudes, atol=1e-12)
+        assert np.allclose(b.amplitudes, phase * a.amplitudes, atol=1e-12)
         assert b.norm_sq_oracle == pytest.approx(abs(scale) ** 4 * a.norm_sq_oracle, rel=1e-9)
 
     def test_continuity_in_zeta(self):
         params = ModulationParams(1 / 3, 2 / 3, 2)
         eps = 1e-6
-        v0 = states.build_state(params, 1.0, dim=64).vector.amplitudes
-        v1 = states.build_state(params, 1.0 + eps, dim=64).vector.amplitudes
+        v0 = states.build_state(params, 1.0, dim=64).amplitudes
+        v1 = states.build_state(params, 1.0 + eps, dim=64).amplitudes
         assert np.max(np.abs(v1 - v0)) < 100 * eps
 
 

@@ -228,6 +228,22 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: malformed {next(iter(doc))} ") and "expected an integer" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"N": "12"}, {"nu": "12"}, {"zeta": {"r_min": 0.5, "r_max": 2.0, "r_steps": 2, "thetas": "12"}},
+        {"mu": [True]}, {"mu": [[True, 0]]}, {"nu": [[0.5, False]]},
+        {"zeta": {"r_min": True, "r_max": 2.0, "r_steps": 2}},
+        {"zeta": {"r_min": 0.5, "r_max": 2.0, "r_steps": 2, "thetas": [False]}},
+        {"quasi": {"s": True, "gamma": {"r_min": 0.5, "r_max": 2.0, "r_steps": 2}}},
+    ], ids=["N-string", "nu-string", "thetas-string", "mu-bool", "mu-pair-bool", "nu-pair-bool",
+            "r_min-bool", "theta-bool", "s-bool"])
+    def test_string_list_or_boolean_real_exits_2(self, tmp_path, capsys, doc):
+        # a list field needs a JSON array (a string is not iterated), and a
+        # real or complex entry refuses a boolean (not read as 0 or 1)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["fidelity", "sweep", "--preset", "fig4", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: malformed {next(iter(doc))} ")
+
     def test_integral_floats_are_integers(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"N": [2.0], "zeta": {"r_min": 1.0, "r_max": 2.0, "r_steps": 3.0}, "dim_override": 100.0}))
