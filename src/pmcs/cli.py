@@ -31,7 +31,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, presets: tuple[str, ...]) 
     parser.add_argument("--format", choices=sweeps.FORMATS, help="csv (default) or json")
     parser.add_argument(
         "--gnuplot-hint", action="store_true",
-        help="print a ready-to-use gnuplot script for the emitted CSV file",
+        help="print a ready-to-use gnuplot script for the CSV file written by --out",
     )
 
 
@@ -136,9 +136,11 @@ def _cmd_sweep(args) -> int:
         cfg = replace(cfg, format=args.format)
     if args.gnuplot_hint and cfg.format != "csv":
         raise ConfigError(f"--gnuplot-hint plots CSV output only, not --format {cfg.format}")
+    if args.gnuplot_hint and not args.out:
+        raise ConfigError("--gnuplot-hint plots the CSV file written by --out; give --out")
     _write(sweeps.render(sweeps.run_sweep(cfg), cfg.family, cfg.format), args.out)
     if args.gnuplot_hint:
-        sys.stdout.write(sweeps.gnuplot_hint(cfg, args.out or "sweep.csv"))
+        sys.stdout.write(sweeps.gnuplot_hint(cfg, args.out))
     return 0
 
 

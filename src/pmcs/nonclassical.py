@@ -109,12 +109,18 @@ def _hankel_det(x1: float, x2: float, x3: float, x4: float) -> float:
     return (x2 * x4 - x3 * x3) - x1 * (x1 * x4 - x3 * x2) + x2 * (x1 * x3 - x2 * x2)
 
 
+# Row j-1 holds S(j, 1) .. S(j, j), the coefficients of a†^i a^i in the
+# normal-ordered (a†a)^j of ``weyl.expand_number_power(j)``, j = 1..4.
+_STIRLING_ROWS = tuple(
+    tuple(c.real for c in expand_number_power(j).terms.values()) for j in (1, 2, 3, 4)
+)
+
+
 def a3(m) -> A3Result:
     """A3 = det m / (det mu - det m) from the Hankel matrices of the factorial
     moments m = (m_1, .., m_4) and of the number moments mu_j = <(a†a)^j> =
-    sum_i S(j, i) m_i, with the exact Stirling numbers of
-    ``weyl.expand_number_power(j)``, the normal-ordered form of (a†a)^j."""
-    mu = [sum(c.real * m[i - 1] for (i, _), c in expand_number_power(j).terms.items()) for j in (1, 2, 3, 4)]
+    sum_i S(j, i) m_i, with the exact Stirling numbers of ``_STIRLING_ROWS``."""
+    mu = [sum(w * x for w, x in zip(row, m)) for row in _STIRLING_ROWS]
     det_m, det_mu = _hankel_det(*m), _hankel_det(*mu)
     denom = det_mu - det_m
     if abs(denom) < 1e-12:

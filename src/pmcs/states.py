@@ -12,9 +12,11 @@ the Weyl series of (mu a + nu a†)^N, cached per (|mu|, |nu|, N) by
 ``weyl._lattice``.  A closed-form call evaluates its Laguerre polynomials
 once, as a single row ``L_0 .. L_n`` at the call's argument
 (``specfun.laguerre_table``), and its per-term factors index into that row.
-``_laguerre_sum`` sums several Laguerre order shifts in one walk (shift 0 is
-the norm, shifts 1..4 the moments, so an A3 point walks the table twice),
-taking log L_o, log o! and o log r2 once per order o of the row.
+``_laguerre_sum`` sums several Laguerre order shifts from one table lookup
+(shift 0 is the norm, shifts 1..4 the moments, so an A3 point reads the
+table twice).  It reads the table's walk form, each term's (log |t_kl|^2,
+k - l, N - k - l) built once with the table, takes log o! from ``specfun``'s
+table and log L_o and o log r2 once per order o of the row.
 A state carries both norms, so a sweep point builds its state once and reads
 the norm comparison from it.  ``build_states`` builds a sweep line's states
 in one padded pass of the ``fock`` row kernels per block, bit-identical to
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import fock, weyl
 from .errors import DegenerateStateError, outcome
-from .specfun import laguerre_table, log_factorial_value, log_sum
+from .specfun import _LOG_FACTORIALS, laguerre_table, log_sum
 from .weyl import ModulationParams
 
 
@@ -64,7 +66,7 @@ class PMCState:
 
 
 def _laguerre_sum(params: ModulationParams, r2: float, shifts: tuple[int, ...]) -> tuple[float, ...]:
-    """For each shift of ``shifts``, in one lattice walk, the sum with the
+    """For each shift of ``shifts``, from one lattice lookup, the sum with the
     (N-k-l+shift)! L_{N-k-l+shift}(-r2) factor:
 
         (N!)^2 sum_k |mu|^(2k) |nu|^(2(N-k)) sum_l (1/4)^l r2^(k-l)
@@ -72,21 +74,21 @@ def _laguerre_sum(params: ModulationParams, r2: float, shifts: tuple[int, ...]) 
 
     Shift 0 is the closed-form squared norm, shift j the unnormalized m_j.
     The values come from one Laguerre row up to order N + max(shifts), whose
-    prefix the recurrence makes equal to every shorter row.
+    prefix the recurrence makes equal to every shorter row.  The terms are
+    read from the lattice table's walk form, (log |t_kl|^2, k - l, N - k - l),
+    and log o! from ``specfun``'s table.
     """
+    walk = weyl._lattice(params).walk
     log_r2 = math.log(r2) if r2 else -math.inf
-    orders = range(params.N + max(shifts) + 1)
-    log_lags = [math.log(v) for v in laguerre_table(orders[-1], -r2)]  # positive for r2 >= 0
-    log_facts = [log_factorial_value(o) for o in orders]
-    log_powers = [o * log_r2 if o else 0.0 for o in orders]
-    columns = [[] for _ in shifts]
-    for k, l, log_t2 in weyl._lattice(params):
-        base = params.N - k - l
-        log_power = log_powers[k - l]
-        for entries, shift in zip(columns, shifts):
-            order = base + shift
-            entries.append(log_t2 + ((log_power + log_facts[order]) + log_lags[order]))
-    return tuple(log_sum(entries) for entries in columns)
+    log_lags = [math.log(v) for v in laguerre_table(params.N + max(shifts), -r2)]  # positive for r2 >= 0
+    log_powers = [o * log_r2 if o else 0.0 for o in range(params.N + 1)]
+    sums = []
+    for shift in shifts:
+        facts, lags = _LOG_FACTORIALS[shift:], log_lags[shift:]
+        sums.append(log_sum([
+            log_t2 + ((log_powers[power] + facts[order]) + lags[order]) for log_t2, power, order in walk
+        ]))
+    return tuple(sums)
 
 
 def paper_norm_sq(params: ModulationParams, zeta: complex) -> float:

@@ -12,8 +12,10 @@ oracle taking the whole gamma grid in one call.  State-based families
 additionally emit one ``norm_sq`` row per state point, the machine-readable
 record of the closed-form-vs-oracle norm gap.  Row order is the
 lexicographic grid order and all floats are printed with 17 significant
-digits, so reruns are byte-identical; a point's own CSV cells are
-formatted once and shared by its rows (``_csv_cells``).
+digits, so reruns are byte-identical.  A CSV row is built as one string
+(``_csv_lines``) from its line's (mu, nu, N) prefix and its point's cells,
+each formatted once and shared by the rows that follow, and its own cells;
+only a text cell that needs quoting goes through the csv module.
 """
 
 from __future__ import annotations
@@ -285,36 +287,51 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _csv_cells(rows: list[SweepRow], quasi: bool):
-    """Each row's CSV cells from its fields.  A point's cells (mu, nu, N, r,
-    theta, s, truncation_dim, tail_mass) are reused while those fields are the
-    previous row's very objects: equal is not enough, 0.0 and -0.0 differ."""
-    last = lead = trail = None
+def _text_cell(text: str) -> str:
+    """A text cell as ``csv.writer`` writes it.  A cell holding a delimiter,
+    a quote or a line break goes through the csv module itself, one cell at
+    a time, since its quoting of a bare carriage return differs between
+    Python versions; any other cell needs no quoting."""
+    if "," not in text and '"' not in text and "\r" not in text and "\n" not in text:
+        return text
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def _csv_lines(rows: list[SweepRow], quasi: bool):
+    """Each row's CSV line, one string.  Its line prefix (mu, nu, N) and its
+    point part (r, theta, s before the row's own cells, truncation_dim and
+    tail_mass after them) are formatted once and reused while those fields
+    are the previous row's very objects: equal is not enough, 0.0 and -0.0
+    differ."""
+    last_line = last_point = None
     for row in rows:
-        point = (row.mu, row.nu, row.N, row.r, row.theta, row.s, row.truncation_dim, row.tail_mass)
-        if last is None or not all(map(operator.is_, point, last)):
-            last = point
-            lead = [_fmt(v) for v in (row.mu.real, row.mu.imag, row.nu.real, row.nu.imag, row.N, row.r, row.theta)]
-            lead += [_fmt(row.s)] if quasi else []
-            trail = [_fmt(row.truncation_dim), _fmt(row.tail_mass)]
+        line = (row.mu, row.nu, row.N)
+        if last_line is None or not all(map(operator.is_, line, last_line)):
+            last_line = line
+            prefix = "".join(_fmt(v) + "," for v in (row.mu.real, row.mu.imag, row.nu.real, row.nu.imag, row.N))
+        point = (row.r, row.theta, row.s, row.truncation_dim, row.tail_mass)
+        if last_point is None or not all(map(operator.is_, point, last_point)):
+            last_point = point
+            head = f"{_fmt(row.r)},{_fmt(row.theta)}," + (f"{_fmt(row.s)}," if quasi else "")
+            trail = f",{_fmt(row.truncation_dim)},{_fmt(row.tail_mass)},"
         gamma = row.gamma
-        cells = [] if not quasi else ["", ""] if gamma is None else [_fmt(gamma.real), _fmt(gamma.imag)]
-        values = [_fmt(row.paper_value), _fmt(row.oracle_value), _fmt(row.rel_gap)]
-        yield lead + cells + [row.quantity, *values, *trail, row.error]
+        cells = "" if not quasi else ",," if gamma is None else f"{_fmt(gamma.real)},{_fmt(gamma.imag)},"
+        yield (
+            f"{prefix}{head}{cells}{_text_cell(row.quantity)},{_fmt(row.paper_value)},"
+            f"{_fmt(row.oracle_value)},{_fmt(row.rel_gap)}{trail}{_text_cell(row.error)}\n"
+        )
 
 
 def render(rows: list[SweepRow], family: str, fmt: str) -> str:
     """Serialize rows; CSV uses RFC-4180 quoting and 17 significant digits."""
     cols = columns_for(family)
     if fmt == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerows(_csv_cells(rows, family == "quasiprob"))
-        return buf.getvalue()
+        return ",".join(cols) + "\n" + "".join(_csv_lines(rows, family == "quasiprob"))
     if fmt == "json":
         payload = [row.as_record(family) for row in rows]
         return json.dumps(payload, indent=2) + "\n"

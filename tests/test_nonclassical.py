@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import dense_reference
 from pmcs import nonclassical as nc, states, weyl
@@ -195,6 +196,22 @@ class TestA3:
             nc.a3(nc.moments_oracle(coherent_state_wrapper(0.0)))
         assert err.value.det_m == pytest.approx(0.0, abs=1e-12)
         assert err.value.det_mu == pytest.approx(0.0, abs=1e-12)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+    def test_equals_the_per_call_stirling_lookup(self, m):
+        # the Stirling weights as a3 read them before they became constant
+        # rows: one expand_number_power lookup per j and its dict iterated
+        mu = [sum(c.real * m[i - 1] for (i, _), c in weyl.expand_number_power(j).terms.items()) for j in (1, 2, 3, 4)]
+        det_m, det_mu = nc._hankel_det(*m), nc._hankel_det(*mu)
+        denom = det_mu - det_m
+        try:
+            result = nc.a3(m)
+        except UndefinedRatioError as err:
+            assert abs(denom) < 1e-12 and str(err) == str(UndefinedRatioError(det_m, det_mu))
+            return
+        assert not abs(denom) < 1e-12
+        got = (result.det_m.hex(), result.det_mu.hex(), result.a3.hex())
+        assert got == (det_m.hex(), det_mu.hex(), (det_m / denom).hex())
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
     def test_modulated_states_nonclassical_window(self, r):

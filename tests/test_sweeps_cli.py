@@ -457,7 +457,7 @@ def _clone(value: float) -> float:
 _SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 _REALS = st.floats() | _SIGNED_ZEROS
 _CELLS = st.none() | _REALS
-_TEXT = st.text(alphabet='ab ,"\'\n;:', max_size=12)  # commas, quotes and line breaks need CSV quoting
+_TEXT = st.text(alphabet='ab ,"\'\n\r;:é', max_size=12)  # commas, quotes and line breaks need CSV quoting
 
 
 @st.composite
@@ -499,6 +499,14 @@ class TestRender:
     def test_render_equals_the_reference(self, family, rows):
         for fmt in sweeps.FORMATS:
             assert sweeps.render(rows, family, fmt) == dense_reference.reference_render(rows, family, fmt)
+
+    @pytest.mark.parametrize("field", ["quantity", "error"])
+    @pytest.mark.parametrize("char", [",", '"', "\n", "\r"])
+    def test_text_cells_with_a_special_character_are_written_by_the_csv_module(self, char, field):
+        row = sweeps.SweepRow(mu=0j, nu=1 + 0j, N=1, r=0.5, theta=0.0, quantity="a3", paper_value=0.25)
+        rows = [replace(row, **{field: f"x{char}y"}), row]
+        for family in ("a3", "quasiprob"):
+            assert sweeps.render(rows, family, "csv") == dense_reference.reference_render(rows, family, "csv")
 
     @pytest.mark.parametrize("field,column", [("r", 5), ("theta", 6), ("tail_mass", 12)])
     def test_equal_point_fields_of_another_sign_are_not_shared(self, field, column):
@@ -654,6 +662,12 @@ class TestCli:
         command = ["fidelity", "sweep", "--preset", "fig4", "--format", "json", "--out", str(out), "--gnuplot-hint"]
         assert cli.main(command) == 2
         assert "--gnuplot-hint" in capsys.readouterr().err and not out.exists()
+
+    def test_gnuplot_hint_without_out_exits_2_before_the_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "run_sweep", lambda cfg: pytest.fail("the sweep ran"))
+        assert cli.main(["a3", "sweep", "--preset", "fig1", "--gnuplot-hint"]) == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and captured.out == ""
 
     def test_config_overrides_preset(self, tmp_path, capsys):
         path = tmp_path / "small.json"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import dense_reference
 from pmcs import fock, nonclassical, states, weyl
@@ -51,6 +51,15 @@ class TestLatticeTable:
         for k, l, log_t2 in table:
             t = f(n_pow) * abs(mu) ** k * abs(nu) ** (n_pow - k) / (2**l * f(l) * f(k - l) * f(n_pow - k - l))
             assert math.exp(log_t2) == pytest.approx(t * t, rel=1e-13)
+
+
+    @given(
+        st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.integers(0, weyl.MAX_POWER),
+    )
+    def test_walk_form_is_the_terms_in_lattice_order(self, abs_mu, abs_nu, n_pow):
+        assume(n_pow == 0 or abs_mu or abs_nu)
+        table = weyl._lattice(weyl.ModulationParams(abs_mu, abs_nu, n_pow))
+        assert table.walk == tuple((log_t2, k - l, n_pow - k - l) for k, l, log_t2 in table)
 
 
 class TestSuperposedPowerSeries:
