@@ -17,8 +17,10 @@ state point's whole gamma grid in one row-batched pass (``quasiprob_grid``;
 ``quasiprob_oracle`` is its one-gamma case).  The *_paper functions take the
 closed-form squared norm from the caller (a sweep reads it from the state it
 built) instead of walking its lattice again; ``moments_paper`` walks it once
-for all four moments.  The oracle is authoritative; gaps between the two are
-data, not bugs, and are surfaced by the sweep layer.
+for all four moments.  A walk reads each ``weyl._lattice`` term (log |t_kl|^2,
+n, m) as it stands: |zeta|^(2n), Laguerre order m (plus the moment's shift),
+and |zeta|^(2(n+m)) in the fidelity.  The oracle is authoritative; gaps
+between the two are data, not bugs, and are surfaced by the sweep layer.
 """
 
 from __future__ import annotations
@@ -292,14 +294,13 @@ def quasiprob_paper(
     if not exponent <= _LOG_DBL_MAX:
         raise ValueError(f"Gaussian factor exp({exponent:.4g}) overflows the double range at gamma={gamma:.4g}")
     entries = []
-    for k, l, log_t2 in weyl._lattice(params):
-        order = params.N - k - l
+    for log_t2, power, order in weyl._lattice(params):
         lag = lags[order]
         if lag == 0.0 or (order and ratio == 0.0):
             continue  # log(0) raises; at s = 2 the term vanishes even where its lag overflowed to inf or NaN
         sign = (ratio_sign**order) * (1.0 if lag > 0 else -1.0)
         entries.append((log_t2 + (
-            ((k - l) * log_r2 if k - l else 0.0)
+            (power * log_r2 if power else 0.0)
             + log_factorial_value(order)
             + (order * log_ratio if order else 0.0)
             + math.log(abs(lag))
@@ -327,8 +328,6 @@ def fidelity_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> f
     """
     r2 = abs(complex(zeta)) ** 2
     log_r2 = math.log(r2) if r2 else -math.inf
-    logs = []
-    for _, l, log_t2 in weyl._lattice(params):
-        power = params.N - 2 * l
-        logs.append(log_t2 + (power * log_r2 if power else 0.0))
-    return log_sum(logs) / norm_sq
+    return log_sum([
+        log_t2 + ((n + m) * log_r2 if n + m else 0.0) for log_t2, n, m in weyl._lattice(params)
+    ]) / norm_sq

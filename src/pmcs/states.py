@@ -14,8 +14,9 @@ once, as a single row ``L_0 .. L_n`` at the call's argument
 (``specfun.laguerre_table``), and its per-term factors index into that row.
 ``_laguerre_sum`` sums several Laguerre order shifts from one table lookup
 (shift 0 is the norm, shifts 1..4 the moments, so an A3 point reads the
-table twice).  It reads the table's walk form, each term's (log |t_kl|^2,
-k - l, N - k - l) built once with the table, takes log o! from ``specfun``'s
+table twice).  Each term is (log |t_kl|^2, n, m), its annihilation power
+n = k - l and creation power m = N - k - l, which index the row of powers
+r2^n and the Laguerre orders m + shift; log o! comes from ``specfun``'s
 table and log L_o and o log r2 once per order o of the row.
 A state carries both norms, so a sweep point builds its state once and reads
 the norm comparison from it.  ``build_states`` builds a sweep line's states
@@ -75,10 +76,10 @@ def _laguerre_sum(params: ModulationParams, r2: float, shifts: tuple[int, ...]) 
     Shift 0 is the closed-form squared norm, shift j the unnormalized m_j.
     The values come from one Laguerre row up to order N + max(shifts), whose
     prefix the recurrence makes equal to every shorter row.  The terms are
-    read from the lattice table's walk form, (log |t_kl|^2, k - l, N - k - l),
-    and log o! from ``specfun``'s table.
+    the lattice table's (log |t_kl|^2, n, m), n = k - l and m = N - k - l,
+    and log o! comes from ``specfun``'s table.
     """
-    walk = weyl._lattice(params).walk
+    terms = weyl._lattice(params)
     log_r2 = math.log(r2) if r2 else -math.inf
     log_lags = [math.log(v) for v in laguerre_table(params.N + max(shifts), -r2)]  # positive for r2 >= 0
     log_powers = [o * log_r2 if o else 0.0 for o in range(params.N + 1)]
@@ -86,7 +87,7 @@ def _laguerre_sum(params: ModulationParams, r2: float, shifts: tuple[int, ...]) 
     for shift in shifts:
         facts, lags = _LOG_FACTORIALS[shift:], log_lags[shift:]
         sums.append(log_sum([
-            log_t2 + ((log_powers[power] + facts[order]) + lags[order]) for log_t2, power, order in walk
+            log_t2 + ((log_powers[n] + facts[m]) + lags[m]) for log_t2, n, m in terms
         ]))
     return tuple(sums)
 

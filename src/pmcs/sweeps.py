@@ -483,6 +483,7 @@ def load_config(path: str, base: SweepConfig | None = None, family: str | None =
 
 def gnuplot_hint(cfg: SweepConfig, out_path: str) -> str:
     """A ready-to-paste gnuplot script for the emitted CSV."""
+    out_path = out_path.replace("'", "''")  # a quote inside gnuplot's '...' is doubled
     cols = columns_for(cfg.family)
     at = {col: i for i, col in enumerate(cols, 1)}  # gnuplot numbers columns from 1
     if cfg.family == "quasiprob":

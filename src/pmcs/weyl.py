@@ -4,11 +4,11 @@ Because mu a + nu a† commutes with itself, the symmetric-ordered expansion of
 its N-th power is the operator power itself, so the series rebuilt as a
 truncated matrix reproduces the dense matrix power up to rounding (the tests
 hold it to that).  The series' (k, l) lattice has one builder, ``_lattice``,
-whose term table depends only on (|mu|, |nu|, N) and is cached with its walk
-form (the per-term Laguerre indices), so every radius and angle of a sweep
-shares both.  Every closed form of ``states`` and ``nonclassical`` is a
-|t_kl|^2-weighted sum over its terms.  The closed-form moments take their
-Stirling weights S(j, i) from ``expand_number_power``.
+a cached table of one (log |t_kl|^2, n, m) term per monomial a†^m a^n that
+depends only on (|mu|, |nu|, N), so every radius and angle of a sweep shares
+it.  Every closed form of ``states`` and ``nonclassical`` is a |t_kl|^2-weighted
+sum over its terms.  The closed-form moments take their Stirling weights
+S(j, i) from ``expand_number_power``.
 """
 
 from __future__ import annotations
@@ -59,56 +59,45 @@ class NormalOrderedSeries:
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
 
-class _Lattice(tuple):
-    """A lattice term table, a tuple of (k, l, log |t_kl|^2) terms, carrying
-    its walk form ``walk``: (log |t_kl|^2, k - l, N - k - l) per term, in
-    the same order, the indices a Laguerre-weighted sum reads per term."""
+def _lattice(params: ModulationParams) -> tuple[tuple[float, int, int], ...]:
+    """The (log |t_kl|^2, n, m) terms of the normal-ordered series
 
+        (mu a + nu a†)^N = sum_kl t_kl :a†^m a^n:,  n = k - l,  m = N - k - l,
+        t_kl = N! mu^k nu^(N-k) 2^(-l) / (l! n! m!),
 
-def _lattice(params: ModulationParams) -> _Lattice:
-    """The (k, l, log |t_kl|^2) terms of the normal-ordered series
-
-        (mu a + nu a†)^N = sum_kl t_kl :a†^(N-k-l) a^(k-l):,
-        t_kl = N! mu^k nu^(N-k) 2^(-l) / (l! (k-l)! (N-k-l)!),
-
-    l = 0 .. min(N-k, k).  mu = 0 leaves only k = 0 (pure a†^N) and nu = 0
-    only k = N (pure a^N).  The series and every closed form read this one
-    table; it depends only on (|mu|, |nu|, N), and the last 64 are cached
-    with their walk forms.
+    in (k, l) order, l = 0 .. min(N-k, k).  mu = 0 leaves only k = 0 (pure
+    a†^N) and nu = 0 only k = N (pure a^N).  The series and every closed form
+    read this one table, cached per (|mu|, |nu|, N) for the last 64.
     """
     return _lattice_table(abs(params.mu), abs(params.nu), params.N)
 
 
 @lru_cache(maxsize=64)
-def _lattice_table(abs_mu: float, abs_nu: float, n_pow: int) -> _Lattice:
+def _lattice_table(abs_mu: float, abs_nu: float, n_pow: int) -> tuple[tuple[float, int, int], ...]:
     log_mu2 = 2.0 * math.log(abs_mu) if abs_mu else -math.inf
     log_nu2 = 2.0 * math.log(abs_nu) if abs_nu else -math.inf
     lf = log_factorial_value
     base = 2.0 * lf(n_pow)
-    table = _Lattice(
-        (k, l, (
+    return tuple(
+        ((
             base + (k * log_mu2 if k else 0.0) + ((n_pow - k) * log_nu2 if n_pow - k else 0.0)
             - l * _LN4 - 2.0 * (lf(l) + lf(k - l) + lf(n_pow - k - l))
-        ))
+        ), k - l, n_pow - k - l)
         for k in range(0 if abs_nu else n_pow, (n_pow if abs_mu else 0) + 1)
         for l in range(min(n_pow - k, k) + 1)
     )
-    table.walk = tuple((log_t2, k - l, n_pow - k - l) for k, l, log_t2 in table)
-    return table
 
 
 def expand_superposed_power(params: ModulationParams) -> NormalOrderedSeries:
     """Normal-ordered series of (mu a + nu a†)^N: coefficient t_kl of
-    a†^(N-k-l) a^(k-l), one lattice term per (m, n)."""
+    a†^m a^n, one lattice term per (m, n)."""
     arg_mu = math.atan2(params.mu.imag, params.mu.real)  # cmath.phase raises on underflow
     arg_nu = math.atan2(params.nu.imag, params.nu.real)
-    n_pow = params.N
-    return NormalOrderedSeries({
-        (n_pow - k - l, k - l): signed_log_sum(
-            [(0.5 * log_t2, cmath.exp(1j * (k * arg_mu + (n_pow - k) * arg_nu)))]
-        )
-        for k, l, log_t2 in _lattice(params)
-    })
+    terms = {}
+    for log_t2, n, m in _lattice(params):
+        k = (params.N + n - m) // 2  # n - m = 2k - N
+        terms[(m, n)] = signed_log_sum([(0.5 * log_t2, cmath.exp(1j * (k * arg_mu + (params.N - k) * arg_nu)))])
+    return NormalOrderedSeries(terms)
 
 
 @lru_cache(maxsize=None)

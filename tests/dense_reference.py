@@ -1,16 +1,17 @@
 """References for the tests: dense d x d ladder, number, identity and
 exp(-lam n̂) matrices, a normal-ordered series rebuilt as a matrix and its
 symbol, the bivariate Hermite polynomial, the closed-form Laguerre sum one
-order shift per lattice walk, a state and a sweep built one point at a
-time, the oracle moments and squeezing identities with their level weights
-rebuilt per call, and a CSV/JSON rendering with one record and one format
-call per cell.
+order shift per lattice walk, the lattice as (k, l) terms with the Weyl
+series and the closed-form fidelity worked out from k and l per term, a
+state and a sweep built one point at a time, the oracle moments and
+squeezing identities with their level weights rebuilt per call, and a
+CSV/JSON rendering with one record and one format call per cell.
 
 The program works with banded contractions and never forms these matrices,
-it sums every order shift in one walk, it builds a sweep line's states in
-one padded pass, it slices import-time level tables and it formats a
-point's leading CSV cells once; the tests hold its results against these
-references.
+it sums every order shift in one walk, it stores each lattice term with its
+monomial powers, it builds a sweep line's states in one padded pass, it
+slices import-time level tables and it formats a point's leading CSV cells
+once; the tests hold its results against these references.
 """
 
 import cmath
@@ -25,7 +26,7 @@ import numpy as np
 
 from pmcs import fock, states, sweeps, weyl
 from pmcs.errors import ConvergenceError, DegenerateStateError, outcome
-from pmcs.specfun import _LOG_DBL_MAX, _check_degree, laguerre_table, log_factorial_value, signed_log_sum
+from pmcs.specfun import _LOG_DBL_MAX, _check_degree, laguerre_table, log_factorial_value, log_sum, signed_log_sum
 
 MAX_BIVARIATE_DEGREE = 32
 
@@ -97,14 +98,57 @@ def laguerre_sum_one_shift(params, r2: float, shift: int) -> float:
     """The closed-form lattice sum with the (N-k-l+shift)! L_{N-k-l+shift}(-r2)
     factor for one shift, from its own Laguerre row in its own walk."""
     log_r2 = math.log(r2) if r2 else -math.inf
-    top = params.N + shift
-    lag = laguerre_table(top, -r2)
+    lag = laguerre_table(params.N + shift, -r2)
     entries = []
-    for k, l, log_t2 in weyl._lattice(params):
-        order = top - k - l
-        log_power = (k - l) * log_r2 if k - l else 0.0
+    for log_t2, power, order in weyl._lattice(params):
+        order += shift
+        log_power = power * log_r2 if power else 0.0
         entries.append((log_t2 + (log_power + log_factorial_value(order) + math.log(lag[order])), 1.0))
     return signed_log_sum(entries).real
+
+
+def lattice_kl(params) -> list:
+    """The lattice as (k, l, log |t_kl|^2) terms in (k, l) order, uncached, by
+    the arithmetic ``weyl._lattice_table`` applies to each term."""
+    abs_mu, abs_nu, n_pow = abs(params.mu), abs(params.nu), params.N
+    log_mu2 = 2.0 * math.log(abs_mu) if abs_mu else -math.inf
+    log_nu2 = 2.0 * math.log(abs_nu) if abs_nu else -math.inf
+    lf = log_factorial_value
+    base = 2.0 * lf(n_pow)
+    return [
+        (k, l, (
+            base + (k * log_mu2 if k else 0.0) + ((n_pow - k) * log_nu2 if n_pow - k else 0.0)
+            - l * math.log(4.0) - 2.0 * (lf(l) + lf(k - l) + lf(n_pow - k - l))
+        ))
+        for k in range(0 if abs_nu else n_pow, (n_pow if abs_mu else 0) + 1)
+        for l in range(min(n_pow - k, k) + 1)
+    ]
+
+
+def superposed_power_kl(params) -> weyl.NormalOrderedSeries:
+    """``weyl.expand_superposed_power`` by a (k, l) walk of ``lattice_kl``,
+    each term's powers and phase worked out from k and l."""
+    arg_mu = math.atan2(params.mu.imag, params.mu.real)
+    arg_nu = math.atan2(params.nu.imag, params.nu.real)
+    n_pow = params.N
+    return weyl.NormalOrderedSeries({
+        (n_pow - k - l, k - l): signed_log_sum(
+            [(0.5 * log_t2, cmath.exp(1j * (k * arg_mu + (n_pow - k) * arg_nu)))]
+        )
+        for k, l, log_t2 in lattice_kl(params)
+    })
+
+
+def fidelity_paper_kl(params, zeta: complex, norm_sq: float) -> float:
+    """``nonclassical.fidelity_paper`` by a (k, l) walk of ``lattice_kl``,
+    the power of |zeta|^2 worked out as N - 2l."""
+    r2 = abs(complex(zeta)) ** 2
+    log_r2 = math.log(r2) if r2 else -math.inf
+    logs = []
+    for _, l, log_t2 in lattice_kl(params):
+        power = params.N - 2 * l
+        logs.append(log_t2 + (power * log_r2 if power else 0.0))
+    return log_sum(logs) / norm_sq
 
 
 def one_point_state(params, zeta: complex, dim: int | None = None) -> states.PMCState:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import dense_reference
 from pmcs import nonclassical as nc, states, weyl
@@ -52,8 +52,9 @@ class TestMomentsOracle:
 
 def anti_normal(m):
     """<a^j a†^j> = sum_k C(j, k)^2 k! m_{j-k} (m_0 = 1) from the factorial
-    moments m_j = <a†^j a^j>, j = 1..4; every term is nonnegative."""
-    m = (1.0,) + tuple(m)
+    moments m_j = <a†^j a^j>, j = 1..4; every term is nonnegative, and
+    Fraction moments give exact sums."""
+    m = (1,) + tuple(m)
     return tuple(sum(math.comb(j, k) ** 2 * math.factorial(k) * m[j - k] for k in range(j + 1)) for j in (1, 2, 3, 4))
 
 
@@ -177,6 +178,36 @@ class TestExactGolden:
         assert result.det_m == pytest.approx(float(det_m), rel=1e-13)
         assert result.det_mu == pytest.approx(float(det_mu), rel=1e-13)
         assert result.a3 == pytest.approx(float(det_m / (det_mu - det_m)), rel=1e-13)
+
+
+def exact_a3(m):
+    """A3 of factorial moments m_1..m_4, exact on Fractions."""
+    mu = [sum(s * m[i] for i, s in enumerate(STIRLING2[j])) for j in (1, 2, 3, 4)]
+    det_m, det_mu = hankel_det(*m), hankel_det(*mu)
+    return det_m / (det_mu - det_m)
+
+
+class TestPaperA3Witness:
+    """mu = 0, nu = 1, N = 2, zeta = 1, the state a†^2 |1>: the oracle's m_j
+    and A3 are exact rationals, and the paper column's A3 is the A3 of the
+    anti-normal sums <a^j a†^j>, a different number, held here by value."""
+
+    PARAMS = ModulationParams(0, 1, 2)
+    M = (Fraction(27, 7), Fraction(87, 7), Fraction(235, 7), Fraction(543, 7))
+
+    def test_oracle_moments_and_a3(self):
+        m = nc.moments_oracle(states.build_state(self.PARAMS, 1.0))
+        assert m == pytest.approx([float(v) for v in self.M], rel=1e-12)
+        assert exact_a3(self.M) == Fraction(-3104, 4095)
+        assert nc.a3(m).a3 == pytest.approx(-3104 / 4095, rel=1e-12)
+
+    def test_paper_column_is_the_a3_of_the_anti_normal_sums(self):
+        anti = anti_normal(self.M)
+        assert anti == (Fraction(34, 7), Fraction(209, 7), Fraction(1546, 7), Fraction(13327, 7))
+        assert exact_a3(anti) == Fraction(101500, 477559)
+        paper = nc.moments_paper(self.PARAMS, 1.0, states.paper_norm_sq(self.PARAMS, 1.0))
+        assert paper == pytest.approx([float(v) for v in anti], rel=1e-12)
+        assert nc.a3(paper).a3 == pytest.approx(101500 / 477559, rel=1e-12)
 
 
 class TestA3:
@@ -411,6 +442,22 @@ class TestFidelity:
         paper = nc.fidelity_paper(params, zeta, states.paper_norm_sq(params, zeta))
         for value in (nc.fidelity_oracle(state), paper):
             assert -1e-12 <= value <= 1.0 + 1e-10
+
+    @given(
+        st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+        st.integers(0, weyl.MAX_POWER),
+        st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+    )
+    def test_paper_is_the_kl_walk_bit_for_bit(self, mu, nu, n_pow, zeta):
+        # the exponent n + m of |zeta|^2 is N - 2l in integers, so every
+        # term and the sum are the (k, l) walk's
+        assume(n_pow == 0 or mu or nu)
+        params = ModulationParams(mu, nu, n_pow)
+        norm_sq = states.paper_norm_sq(params, zeta)
+        assume(norm_sq > 0.0)  # a tiny |mu| or |nu| can underflow it
+        got = nc.fidelity_paper(params, zeta, norm_sq)
+        assert got.hex() == dense_reference.fidelity_paper_kl(params, zeta, norm_sq).hex()
 
     def test_photon_added_fidelity_grows_with_radius(self):
         params = ModulationParams(0, 1, 1)

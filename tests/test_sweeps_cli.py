@@ -394,6 +394,13 @@ class TestRows:
         hint = sweeps.gnuplot_hint(TINY, "out.csv")
         assert "out.csv" in hint and "plot" in hint
 
+    @pytest.mark.parametrize("family,command", [("fidelity", "plot"), ("quasiprob", "splot")])
+    def test_gnuplot_hint_doubles_a_quote_in_the_path(self, family, command):
+        # gnuplot reads '' inside a single-quoted string as one quote
+        hint = sweeps.gnuplot_hint(replace(TINY, family=family), "it's.csv")
+        assert f"\n{command} 'it''s.csv' every ::1 using " in hint
+        assert "'it's.csv'" not in hint
+
     @pytest.mark.parametrize(
         "family,using",
         [("fidelity", ("r", "oracle_value")), ("quasiprob", ("gamma_re", "gamma_im", "paper_value", "oracle_value"))],

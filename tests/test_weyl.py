@@ -46,20 +46,23 @@ class TestLatticeTable:
         mu, nu, n_pow = 0.5 - 0.3j, 1.1, 7
         table = weyl._lattice(weyl.ModulationParams(mu, nu, n_pow))
         assert isinstance(table, tuple)
-        assert [(k, l) for k, l, _ in table] == [(k, l) for k in range(8) for l in range(min(7 - k, k) + 1)]
+        lattice = [(k, l) for k in range(8) for l in range(min(7 - k, k) + 1)]
+        assert [(n, m) for _, n, m in table] == [(k - l, n_pow - k - l) for k, l in lattice]
         f = math.factorial
-        for k, l, log_t2 in table:
+        for (k, l), (log_t2, _, _) in zip(lattice, table):
             t = f(n_pow) * abs(mu) ** k * abs(nu) ** (n_pow - k) / (2**l * f(l) * f(k - l) * f(n_pow - k - l))
             assert math.exp(log_t2) == pytest.approx(t * t, rel=1e-13)
-
 
     @given(
         st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.integers(0, weyl.MAX_POWER),
     )
-    def test_walk_form_is_the_terms_in_lattice_order(self, abs_mu, abs_nu, n_pow):
+    def test_terms_are_the_kl_lattice_with_its_monomial_powers(self, abs_mu, abs_nu, n_pow):
+        # each term's (n, m) is (k - l, N - k - l) in (k, l) order and its
+        # weight is bit for bit the (k, l) walk's
         assume(n_pow == 0 or abs_mu or abs_nu)
-        table = weyl._lattice(weyl.ModulationParams(abs_mu, abs_nu, n_pow))
-        assert table.walk == tuple((log_t2, k - l, n_pow - k - l) for k, l, log_t2 in table)
+        params = weyl.ModulationParams(abs_mu, abs_nu, n_pow)
+        got = [(log_t2.hex(), n, m) for log_t2, n, m in weyl._lattice(params)]
+        assert got == [(log_t2.hex(), k - l, n_pow - k - l) for k, l, log_t2 in dense_reference.lattice_kl(params)]
 
 
 class TestSuperposedPowerSeries:
@@ -88,6 +91,20 @@ class TestSuperposedPowerSeries:
     def test_pure_addition(self):
         series = weyl.expand_superposed_power(weyl.ModulationParams(0.0, 2.0j, 2))
         assert dict(series.terms) == {(2, 0): pytest.approx(-4.0 + 0j)}
+
+    @given(
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        st.integers(0, weyl.MAX_POWER),
+    )
+    def test_terms_are_the_kl_walks_bit_for_bit(self, mu, nu, n_pow):
+        # keyed (m, n) from the table's powers and phased by k = (N + n - m)/2,
+        # every coefficient is the one the (k, l) walk builds, in its order
+        assume(n_pow == 0 or mu or nu)
+        params = weyl.ModulationParams(mu, nu, n_pow)
+        got, want = weyl.expand_superposed_power(params).terms, dense_reference.superposed_power_kl(params).terms
+        bits = lambda terms: [(key, c.real.hex(), c.imag.hex()) for key, c in terms.items()]
+        assert bits(got) == bits(want)
 
     def test_degree_bound_invariant(self):
         series = weyl.expand_superposed_power(weyl.ModulationParams(0.3, 0.9j, 7))
