@@ -1,11 +1,10 @@
 """References for the tests: dense d x d ladder, number, identity and
-exp(-lam n̂) matrices, a normal-ordered series rebuilt as a matrix and its
-symbol, the bivariate Hermite polynomial, the closed-form Laguerre sum one
-order shift per lattice walk, the lattice as (k, l) terms with the Weyl
-series and the closed-form fidelity worked out from k and l per term, a
-state and a sweep built one point at a time, the oracle moments and
-squeezing identities with their level weights rebuilt per call, and a
-CSV/JSON rendering with one record and one format call per cell.
+exp(-lam n̂) matrices, a normal-ordered series rebuilt as a matrix, the
+closed-form Laguerre sum one order shift per lattice walk, the lattice as
+(k, l) terms with the Weyl series and the closed-form fidelity worked out
+from k and l per term, a state and a sweep built one point at a time, the
+oracle moments and squeezing identities with their level weights rebuilt per
+call, and a CSV/JSON rendering with one record and one format call per cell.
 
 The program works with banded contractions and never forms these matrices,
 it sums every order shift in one walk, it stores each lattice term with its
@@ -26,9 +25,7 @@ import numpy as np
 
 from pmcs import fock, states, sweeps, weyl
 from pmcs.errors import ConvergenceError, DegenerateStateError, outcome
-from pmcs.specfun import _LOG_DBL_MAX, _check_degree, laguerre_table, log_factorial_value, log_sum, signed_log_sum
-
-MAX_BIVARIATE_DEGREE = 32
+from pmcs.specfun import laguerre_table, log_factorial_value, log_sum, signed_log_sum
 
 
 def ladder_ops(dim: int) -> tuple[fock.FockOperator, fock.FockOperator]:
@@ -191,50 +188,6 @@ def one_point_sweep(cfg: sweeps.SweepConfig) -> list[sweeps.SweepRow]:
         state = outcome(lambda: one_point_state(weyl.ModulationParams(mu, nu, n_pow), zeta, dim))
         rows.extend(sweeps._point_rows(cfg, mu, nu, n_pow, r, theta, dim, state))
     return rows
-
-def two_param_hermite(m: int, n: int, z: complex) -> complex:
-    """Bivariate Hermite polynomial at the conjugate-pair argument (z, -z*):
-
-        m! n! sum_k (-1/2)^k (-z*)^(m-k) z^(n-k) / (k! (m-k)! (n-k)!)
-
-    for k = 0 .. min(m, n), assembled from log-space coefficients.
-    """
-    _check_degree(m, MAX_BIVARIATE_DEGREE, "bivariate Hermite")
-    _check_degree(n, MAX_BIVARIATE_DEGREE, "bivariate Hermite")
-    z = complex(z)
-    w = -z.conjugate()
-    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
-    log_abs_w = math.log(abs(w)) if w != 0 else -math.inf
-    arg_z = math.atan2(z.imag, z.real) if z != 0 else 0.0  # cmath.phase raises when the angle underflows
-    arg_w = math.atan2(w.imag, w.real) if w != 0 else 0.0
-    lbase = log_factorial_value(m) + log_factorial_value(n)
-
-    entries = []
-    for k in range(min(m, n) + 1):
-        if m - k > 0 and w == 0:
-            continue
-        if n - k > 0 and z == 0:
-            continue
-        lm = (
-            lbase
-            - log_factorial_value(k)
-            - log_factorial_value(m - k)
-            - log_factorial_value(n - k)
-            - k * math.log(2.0)
-            + (m - k) * (log_abs_w if m - k else 0.0)
-            + (n - k) * (log_abs_z if n - k else 0.0)
-        )
-        if lm > _LOG_DBL_MAX:
-            raise ValueError("term magnitude exceeds the double range")
-        phase = (-1.0) ** k * cmath.exp(1j * ((m - k) * arg_w + (n - k) * arg_z))
-        entries.append((lm, phase))
-    return complex(signed_log_sum(entries))
-
-
-def symbol(series: weyl.NormalOrderedSeries, z: complex) -> complex:
-    """The normal-ordered symbol sum c_{m,n} (z*)^m z^n of a series."""
-    z = complex(z)
-    return sum(c * z.conjugate() ** m * z**n for (m, n), c in series.terms.items())
 
 
 def _check_moment_headroom(pop: np.ndarray, power: int, what: str) -> None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import dense_reference
+import exact_reference
 from pmcs import nonclassical as nc, states, weyl
 from pmcs.nonclassical import QuasiProbParams, UndefinedRatioError
 from pmcs.weyl import ModulationParams
@@ -50,14 +51,6 @@ class TestMomentsOracle:
         assert all(isinstance(v, float) for v in m)
 
 
-def anti_normal(m):
-    """<a^j a†^j> = sum_k C(j, k)^2 k! m_{j-k} (m_0 = 1) from the factorial
-    moments m_j = <a†^j a^j>, j = 1..4; every term is nonnegative, and
-    Fraction moments give exact sums."""
-    m = (1,) + tuple(m)
-    return tuple(sum(math.comb(j, k) ** 2 * math.factorial(k) * m[j - k] for k in range(j + 1)) for j in (1, 2, 3, 4))
-
-
 class TestMomentsPaper:
     def test_first_moment_consistency(self):
         # mu_1 = m_1 and mu_j = sum_i S(j, i) m_i: a3's det mu on the closed
@@ -87,8 +80,8 @@ class TestMomentsPaper:
         # (at N = 0, zeta = 0 they are j!, where every m_j is 0).
         for zeta in zetas:
             paper = nc.moments_paper(params, zeta, states.paper_norm_sq(params, zeta))
-            oracle = nc.moments_oracle(states.build_state(params, zeta))
-            assert paper == pytest.approx(anti_normal(oracle), rel=1e-12)
+            anti = exact_reference.anti_normal_moments(params.mu, params.nu, params.N, zeta)
+            assert paper == pytest.approx(anti, rel=1e-12)
 
     @pytest.mark.parametrize("n_pow", [1, 2, 20])
     def test_two_lattice_walks(self, monkeypatch, n_pow):
@@ -196,13 +189,14 @@ class TestPaperA3Witness:
     M = (Fraction(27, 7), Fraction(87, 7), Fraction(235, 7), Fraction(543, 7))
 
     def test_oracle_moments_and_a3(self):
+        assert exact_reference.factorial_moments(0, 1, 2, 1) == self.M
         m = nc.moments_oracle(states.build_state(self.PARAMS, 1.0))
         assert m == pytest.approx([float(v) for v in self.M], rel=1e-12)
         assert exact_a3(self.M) == Fraction(-3104, 4095)
         assert nc.a3(m).a3 == pytest.approx(-3104 / 4095, rel=1e-12)
 
     def test_paper_column_is_the_a3_of_the_anti_normal_sums(self):
-        anti = anti_normal(self.M)
+        anti = exact_reference.anti_normal_moments(0, 1, 2, 1)
         assert anti == (Fraction(34, 7), Fraction(209, 7), Fraction(1546, 7), Fraction(13327, 7))
         assert exact_a3(anti) == Fraction(101500, 477559)
         paper = nc.moments_paper(self.PARAMS, 1.0, states.paper_norm_sq(self.PARAMS, 1.0))

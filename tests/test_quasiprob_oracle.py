@@ -1,10 +1,9 @@
 """The displaced-frame quasi-probability oracle against two references.
 
-``reference_quasiprob`` is truncation-free: it normal-orders the shifted
-superposed power with ``weyl.expand_superposed_power`` and sums the coherent
-matrix elements in closed form, so no Fock dimension enters.  The dense
-reference displaces the truncated state vector with ``fock.displacement`` and
-takes the weighted trace with ``fock.density_and_trace``.
+``exact_reference.quasiprob`` is truncation-free: F(gamma, s) is a Gram form
+over the displaced state's coefficients, with no Fock dimension.  The dense
+reference displaces the truncated state vector with ``fock.displacement``
+and takes the weighted trace with ``fock.density_and_trace``.
 """
 
 import cmath
@@ -14,51 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import exact_reference
 from pmcs import fock, nonclassical as nc, states, sweeps
 from pmcs.errors import ConvergenceError, PmcsError
 from pmcs.nonclassical import QuasiProbParams
 from pmcs.sweeps import GammaGrid, QuasiSpec, SweepConfig, ZetaGrid
-from pmcs.weyl import ModulationParams, expand_superposed_power
+from pmcs.weyl import ModulationParams
 
 coefficient = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
 plane = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 s_values = st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.2, 3.0, 5.0])
-
-
-def reference_quasiprob(params: ModulationParams, zeta: complex, gamma: complex, s: float) -> float:
-    """F(gamma, s) without truncation.
-
-    With beta = zeta - gamma and c = mu gamma + nu gamma*, the displaced state
-    is P|beta> for P = sum_j C(N, j) c^(N-j) (mu a + nu a†)^j.  Normal-ordered,
-    P|beta> = sum_m b_m a†^m |beta> with b_m = sum_n p_mn beta^n, and
-
-        F = 2/(1-s) e^((w-1)|beta|^2) S(w)/S(1),   w = (1+s)/(s-1),
-        S(x) = sum_{m,m'} conj(b_m') b_m x^m
-               sum_j j! C(m', j) C(m, j) conj(beta)^(m-j) (x beta)^(m'-j).
-    """
-    zeta, gamma = complex(zeta), complex(gamma)
-    n_pow, beta = params.N, zeta - gamma
-    shift = params.mu * gamma + params.nu * gamma.conjugate()
-    w = (1.0 + s) / (s - 1.0)
-    b: dict[int, complex] = {}
-    for j in range(n_pow + 1):
-        series = expand_superposed_power(ModulationParams(params.mu, params.nu, j))
-        for (m, n), coeff in series.terms.items():
-            b[m] = b.get(m, 0j) + math.comb(n_pow, j) * shift ** (n_pow - j) * coeff * beta**n
-
-    def big_s(x: float) -> complex:
-        total = 0j
-        for m, bm in b.items():
-            for mp, bmp in b.items():
-                inner = sum(
-                    math.factorial(j) * math.comb(mp, j) * math.comb(m, j)
-                    * beta.conjugate() ** (m - j) * (x * beta) ** (mp - j)
-                    for j in range(min(m, mp) + 1)
-                )
-                total += bmp.conjugate() * bm * x**m * inner
-        return total
-
-    return 2.0 / (1.0 - s) * math.exp((w - 1.0) * abs(beta) ** 2) * (big_s(w) / big_s(1.0)).real
 
 
 def agrees(got: float, ref: float, s: float, rel: float) -> bool:
@@ -86,7 +50,7 @@ class TestAgainstTruncationFreeReference:
         assume(n_pow == 0 or mu != 0 or nu != 0)
         params = ModulationParams(mu, nu, n_pow)
         got = oracle_or_skip(params, zeta, gamma, s)
-        assert agrees(got, reference_quasiprob(params, zeta, gamma, s), s, 1e-10)
+        assert agrees(got, exact_reference.quasiprob(mu, nu, n_pow, zeta, gamma, s), s, 1e-10)
 
     def test_s_above_one_off_origin_matches_reference(self):
         # The dense oracle refused this point: its displacement left ~1e-16
@@ -94,7 +58,7 @@ class TestAgainstTruncationFreeReference:
         params = ModulationParams(0.001, 1.2, 2)
         state = states.build_state(params, 1j, dim=160)
         got = nc.quasiprob_oracle(state, QuasiProbParams(0.5, 1.2))
-        assert got == pytest.approx(reference_quasiprob(params, 1j, 0.5, 1.2), rel=1e-12)
+        assert got == pytest.approx(exact_reference.quasiprob(0.001, 1.2, 2, 1j, 0.5, 1.2), rel=1e-12)
         assert got == pytest.approx(-1.0742056334e10, rel=1e-10)
 
     def test_displacement_beyond_the_state_dimension(self):
@@ -103,7 +67,7 @@ class TestAgainstTruncationFreeReference:
         params = ModulationParams(0.3, 0.8, 2)
         state = states.build_state(params, 0.5, dim=40)
         got = nc.quasiprob_oracle(state, QuasiProbParams(-3.0, -0.5))
-        assert got == pytest.approx(reference_quasiprob(params, 0.5, -3.0, -0.5), rel=1e-12)
+        assert got == pytest.approx(exact_reference.quasiprob(0.3, 0.8, 2, 0.5, -3.0, -0.5), rel=1e-12)
 
     def test_s_above_one_refuses_summand_peak_in_top_decile(self):
         # w |zeta - gamma|^2 = 11 * 3.7^2 = 150.6 sits in the top decile of 160 levels
@@ -125,11 +89,10 @@ class TestAgainstTruncationFreeReference:
             if row.oracle_value is None:
                 assert "oracle: ConvergenceError: trace summand does not decay" in row.error
                 continue
-            params = ModulationParams(row.mu, row.nu, row.N)
             zeta = row.r * cmath.exp(1j * row.theta)
             assert math.isfinite(row.oracle_value)
             assert row.oracle_value == pytest.approx(
-                reference_quasiprob(params, zeta, row.gamma, row.s), rel=1e-12
+                exact_reference.quasiprob(row.mu, row.nu, row.N, zeta, row.gamma, row.s), rel=1e-12
             )
             converged += 1
         assert converged == {"fig3a": 100, "fig3b": 13}[name]

@@ -1,12 +1,10 @@
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-import dense_reference
 from pmcs import specfun
 
 
@@ -124,69 +122,6 @@ class TestPHermite:
         left = specfun.p_hermite_eval(n, -x)
         right = (-1.0) ** n * specfun.p_hermite_eval(n, x)
         assert np.allclose(left, right, rtol=0, atol=1e-12 * np.max(np.abs(right)))
-
-
-def brute_two_param_hermite(m, n, z):
-    """Rational-coefficient oracle for the (z, -z*) bivariate Hermite value."""
-    w = -z.conjugate()
-    total = 0j
-    for k in range(min(m, n) + 1):
-        coeff = (
-            Fraction(math.factorial(m) * math.factorial(n), math.factorial(k) * math.factorial(m - k) * math.factorial(n - k))
-            * Fraction(-1, 2) ** k
-        )
-        total += complex(coeff) * w ** (m - k) * z ** (n - k)
-    return total
-
-
-class TestTwoParamHermite:
-    def test_trivial_empty_product(self):
-        assert dense_reference.two_param_hermite(0, 0, 2.3 - 1j) == 1.0
-
-    def test_one_one_real(self):
-        assert dense_reference.two_param_hermite(1, 1, 1.0) == pytest.approx(-1.5, abs=1e-14)
-
-    def test_two_zero(self):
-        # min(m, n) = 0 forces the single k = 0 term (-z*)^2
-        assert dense_reference.two_param_hermite(2, 0, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            dense_reference.two_param_hermite(33, 0, 1.0)
-
-    def test_underflowing_phase(self):
-        # atan2(5e-324, 2) underflows; cmath.phase raised OverflowError on it
-        got = dense_reference.two_param_hermite(2, 1, 2.0 + 5e-324j)
-        assert got == pytest.approx(dense_reference.two_param_hermite(2, 1, 2.0), rel=1e-15)
-
-    def test_matches_brute_force_on_grid(self):
-        grid = [complex(a, b) for a in (-2.0, -0.5, 0.0, 1.0, 2.5) for b in (-1.5, -0.3, 0.0, 0.7, 2.0)]
-        for m in range(9):
-            for n in range(9):
-                for z in grid:
-                    ref = brute_two_param_hermite(m, n, z)
-                    got = dense_reference.two_param_hermite(m, n, z)
-                    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-    def test_conjugation_symmetry_signed(self):
-        # The numerically verified relation carries an (-1)^(m-n) factor:
-        # H_{m,n}(z, -z*) = (-1)^(m-n) conj(H_{n,m}(z, -z*)).  The unsigned
-        # version fails for odd m - n; that mismatch is recorded, not asserted.
-        grid = [complex(a, b) for a in (-1.0, 0.5, 2.0) for b in (-0.7, 0.0, 1.3)]
-        unsigned_failures = []
-        for m in range(6):
-            for n in range(6):
-                for z in grid:
-                    lhs = dense_reference.two_param_hermite(m, n, z)
-                    rhs = dense_reference.two_param_hermite(n, m, z).conjugate()
-                    assert lhs == pytest.approx((-1.0) ** (m - n) * rhs, rel=1e-11, abs=1e-11)
-                    if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
-                        unsigned_failures.append((m, n, z))
-        if unsigned_failures:
-            warnings.warn(
-                "unsigned conjugation symmetry H_{m,n} = conj(H_{n,m}) fails at "
-                f"{len(unsigned_failures)} grid points (odd m-n); signed identity holds"
-            )
 
 
 class TestSignedLogSum:

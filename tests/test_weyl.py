@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import dense_reference
+import exact_reference
 from pmcs import fock, nonclassical, states, weyl
 
 MU_GRID = (1.0, 0.5 - 0.3j, -0.7 + 0.2j, 1.1j)
@@ -136,22 +137,16 @@ class TestSuperposedPowerSeries:
 
     @given(st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False))
     def test_symbol_matches_bivariate_hermite_route(self, z):
-        # Independent route: expanding through the bivariate Hermite symbol of
-        # each Weyl-ordered monomial, sum_k C(N,k) mu^k nu^(N-k) (-1)^(N-k)
-        # H_{N-k,k}(z, -z*) must equal the series' normal-ordered symbol.
+        # Independent route: <z|(mu a + nu a†)^N|z> is both the series' symbol
+        # sum t_mn z*^m z^n and sum_m b_m z*^m, b the coefficients of the
+        # power applied to |z> factor by factor.
         mu, nu = 0.6 + 0.2j, 0.9 - 0.5j
         for n_pow in range(5):
             series = weyl.expand_superposed_power(weyl.ModulationParams(mu, nu, n_pow))
-            direct = dense_reference.symbol(series, z)
-            via_hermite = sum(
-                math.comb(n_pow, k)
-                * mu**k
-                * nu ** (n_pow - k)
-                * (-1.0) ** (n_pow - k)
-                * dense_reference.two_param_hermite(n_pow - k, k, z)
-                for k in range(n_pow + 1)
-            )
-            assert direct == pytest.approx(via_hermite, rel=1e-10, abs=1e-10)
+            direct = sum(c * z.conjugate() ** m * z**n for (m, n), c in series.terms.items())
+            b = exact_reference.coefficients(mu, nu, n_pow, z)
+            via_coefficients = sum(bm * z.conjugate() ** m for m, bm in enumerate(b))
+            assert direct == pytest.approx(via_coefficients, rel=1e-10, abs=1e-10)
 
 
 def stirling2_reference(j, i):
