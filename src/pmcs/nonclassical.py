@@ -39,7 +39,7 @@ from .weyl import ModulationParams, expand_number_power
 
 
 class UndefinedRatioError(PmcsError, ArithmeticError):
-    """det(mu) - det(m) is numerically zero; the A3 ratio is undefined."""
+    """det(mu) - det(m) is zero to within its rounding; the A3 ratio is undefined."""
 
     def __init__(self, det_m: float, det_mu: float):
         super().__init__(
@@ -111,6 +111,11 @@ def _hankel_det(x1: float, x2: float, x3: float, x4: float) -> float:
     return (x2 * x4 - x3 * x3) - x1 * (x1 * x4 - x3 * x2) + x2 * (x1 * x3 - x2 * x2)
 
 
+def _hankel_size(x1: float, x2: float, x3: float, x4: float) -> float:
+    """The summed magnitudes of ``_hankel_det``'s six products."""
+    return abs(x2 * x4) + x3 * x3 + abs(x1 * x1 * x4) + 2.0 * abs(x1 * x3 * x2) + abs(x2 * x2 * x2)
+
+
 # Row j-1 holds S(j, 1) .. S(j, j), the coefficients of a†^i a^i in the
 # normal-ordered (a†a)^j of ``weyl.expand_number_power(j)``, j = 1..4.
 _STIRLING_ROWS = tuple(
@@ -121,11 +126,12 @@ _STIRLING_ROWS = tuple(
 def a3(m) -> A3Result:
     """A3 = det m / (det mu - det m) from the Hankel matrices of the factorial
     moments m = (m_1, .., m_4) and of the number moments mu_j = <(a†a)^j> =
-    sum_i S(j, i) m_i, with the exact Stirling numbers of ``_STIRLING_ROWS``."""
+    sum_i S(j, i) m_i, with the exact Stirling numbers of ``_STIRLING_ROWS``.
+    Undefined unless |det mu - det m| > 64 eps H, H the ``_hankel_size`` sum."""
     mu = [sum(w * x for w, x in zip(row, m)) for row in _STIRLING_ROWS]
     det_m, det_mu = _hankel_det(*m), _hankel_det(*mu)
     denom = det_mu - det_m
-    if abs(denom) < 1e-12:
+    if not abs(denom) > 64 * _EPS * (_hankel_size(*m) + _hankel_size(*mu)):
         raise UndefinedRatioError(det_m, det_mu)
     return A3Result(det_m=det_m, det_mu=det_mu, a3=det_m / denom)
 
@@ -164,6 +170,7 @@ def uncertainty_product(i1: float, i2: float) -> float:
 
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
 
 
 def quasiprob_grid(state: PMCState, gammas, s: float) -> list:
@@ -234,8 +241,9 @@ def _quasiprob_block(state: PMCState, gammas: list[complex], s: float, dim: int,
     live = [i for i, error in enumerate(out) if error is None]
     if len(live) < len(gammas):
         amp, bound, norms = amp[live], bound[live], norms[live]
-    amp = np.abs(amp)
-    magnitudes = np.abs(weight) * amp * bound.real / norms
+    # |d_n|^2 errs by up to (2|d_n| + eps bound_n/norm) eps bound_n/norm
+    amp, scale = np.abs(amp), bound.real / norms
+    magnitudes = np.abs(weight) * (amp + _EPS * scale) * scale
     traces, errors = fock.trace_rows(weight * amp**2, lambda j: f"s={s}, gamma={gammas[live[j]]:.4g}", magnitudes)
     for i, trace, error in zip(live, traces, errors):
         out[i] = error if error is not None else 2.0 / (1.0 - s) * complex(trace).real

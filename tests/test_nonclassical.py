@@ -1,6 +1,5 @@
 import cmath
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -229,14 +228,22 @@ class TestA3:
         mu = [sum(c.real * m[i - 1] for (i, _), c in weyl.expand_number_power(j).terms.items()) for j in (1, 2, 3, 4)]
         det_m, det_mu = nc._hankel_det(*m), nc._hankel_det(*mu)
         denom = det_mu - det_m
+        defined = abs(denom) > 64 * np.finfo(float).eps * (nc._hankel_size(*m) + nc._hankel_size(*mu))
         try:
             result = nc.a3(m)
         except UndefinedRatioError as err:
-            assert abs(denom) < 1e-12 and str(err) == str(UndefinedRatioError(det_m, det_mu))
+            assert not defined and str(err) == str(UndefinedRatioError(det_m, det_mu))
             return
-        assert not abs(denom) < 1e-12
+        assert defined
         got = (result.det_m.hex(), result.det_mu.hex(), result.a3.hex())
         assert got == (det_m.hex(), det_mu.hex(), (det_m / denom).hex())
+
+    @pytest.mark.parametrize("params", [ModulationParams(0, 1, 0), ModulationParams(1, 0, 2)], ids=["N0", "subtracted-2"])
+    def test_coherent_near_the_origin_is_classical(self, params):
+        # a^2 |zeta> is coherent too.  At r = 0.005 both determinants are
+        # O(r^6) ~ 3e-14, below any fixed threshold, yet A3 = 0 is defined.
+        result = nc.a3(nc.moments_oracle(states.build_state(params, 0.005)))
+        assert abs(result.a3) <= 1e-12
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
     def test_modulated_states_nonclassical_window(self, r):
@@ -259,12 +266,12 @@ class TestSqueezing:
         assert i2 == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_derived_anchor(self):
-        # mu=1/3, nu=2/3, N=1, zeta=1: exact rationals from the normal-ordered
-        # coherent expectations: I1 = -40/169, I2 = 8/13.
+        # mu=1/3, nu=2/3, N=1, zeta=1, acceptance criterion 6's counterexample:
+        # I1 = -40/169 < 0 and I2 = 8/13 > 0 in exact rationals
+        exact = exact_reference.squeezing(Fraction(1, 3), Fraction(2, 3), 1, Fraction(1))
+        assert exact == (Fraction(-40, 169), Fraction(8, 13))
         state = states.build_state(ModulationParams(1 / 3, 2 / 3, 1), 1.0)
-        i1, i2 = nc.squeezing_identities(state)
-        assert i1 == pytest.approx(-40 / 169, abs=1e-10)
-        assert i2 == pytest.approx(8 / 13, abs=1e-10)
+        assert nc.squeezing_identities(state) == pytest.approx([float(v) for v in exact], abs=1e-12)
 
     @pytest.mark.parametrize(
         "params,zeta",
@@ -371,23 +378,15 @@ class TestQuasiProbPaper:
         assert min(values) < 0.0
 
     def test_exact_regime_gap_reported_not_asserted(self):
-        # Even at N = 0 the closed form disagrees with the oracle
-        # (its exponent coefficients do not reduce to the coherent-state
-        # Gaussian), so the comparison is recorded as a discrepancy report.
-        params = ModulationParams(0, 1, 0)
-        zeta, s = 0.6, -1.0
-        gaps = []
-        for re in (-1.0, 0.0, 1.0):
-            for im in (-1.0, 0.0, 1.0):
-                qp = QuasiProbParams(complex(re, im), s)
-                paper = nc.quasiprob_paper(params, zeta, qp, states.paper_norm_sq(params, zeta))
-                oracle = nc.quasiprob_oracle(coherent_state_wrapper(zeta), qp)
-                gaps.append(abs(paper - oracle) / max(abs(oracle), 1e-300))
-        if max(gaps) > 1e-6:
-            warnings.warn(
-                f"closed-form quasi-probability deviates from the oracle even at N=0 "
-                f"(max rel gap {max(gaps):.3e} on the 9-point grid); recorded, not asserted"
-            )
+        # Even at N = 0 the closed form misses the coherent state's F: at
+        # gamma = zeta = i and s = -1, the Husimi peak, it gives e^2/pi^2
+        # where F is 1.  The gap is held by value on all three sides.
+        params, zeta = ModulationParams(0, 1, 0), 1j
+        qp = QuasiProbParams(zeta, -1.0)
+        paper = nc.quasiprob_paper(params, zeta, qp, states.paper_norm_sq(params, zeta))
+        assert paper == pytest.approx(math.e**2 / math.pi**2, rel=1e-12)
+        assert exact_reference.quasiprob(0, 1, 0, zeta, zeta, -1.0) == 1.0
+        assert nc.quasiprob_oracle(coherent_state_wrapper(zeta), qp) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFidelity:

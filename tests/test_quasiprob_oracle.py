@@ -8,10 +8,11 @@ and takes the weighted trace with ``fock.density_and_trace``.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import exact_reference
 from pmcs import fock, nonclassical as nc, states, sweeps
@@ -43,6 +44,7 @@ def oracle_or_skip(params, zeta, gamma, s, dim=None) -> float:
 class TestAgainstTruncationFreeReference:
     @settings(max_examples=150, deadline=None)
     @given(coefficient, coefficient, st.integers(0, 3), plane, plane, s_values)
+    @example(mu=1, nu=-1.06e-54, n_pow=2, zeta=0, gamma=1, s=-1.0)  # the oracle refuses: see TestRefusals
     def test_matches_reference(self, mu, nu, n_pow, zeta, gamma, s):
         # 1e-10 is the truncation the decay rule accepts: at mu = 1, nu = 0,
         # N = 2, zeta = 0.9375, gamma = 0, s = 1.2 the default 39 levels leave
@@ -99,6 +101,17 @@ class TestAgainstTruncationFreeReference:
 
 
 class TestRefusals:
+    @pytest.mark.parametrize("nu", [-1.06e-54, -1e-20])
+    def test_displaced_frame_of_rounding_noise_is_refused(self, nu):
+        # At gamma = 1 the displaced frame (a + nu a† + 1 + nu)^2 |-1> keeps
+        # the state only in its nu terms; in doubles it is rounding noise, 0
+        # at the one level s = -1 weighs, where F is e^-1.
+        exact = exact_reference.quasiprob(1, Fraction(nu), 2, 0, 1, Fraction(-1))
+        assert exact == pytest.approx(math.exp(-1.0), rel=1e-12)
+        state = states.build_state(ModulationParams(1, nu, 2), 0.0)
+        with pytest.raises(ConvergenceError, match="cancels"):
+            nc.quasiprob_oracle(state, QuasiProbParams(1.0, -1.0))
+
     def test_shift_cancelling_the_state_is_refused(self):
         # nu = 0 and |zeta| ~ 1e-8: the state (a^3 |zeta>, normalized) is the
         # near-vacuum, but in the displaced frame (a + gamma)^3 |zeta - gamma>
