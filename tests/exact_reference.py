@@ -37,12 +37,12 @@ def _unit(mu, nu, n_pow, zeta):
     return [bm / top for bm in b]
 
 
-def lower(b, beta):
+def _lower(b, beta):
     """a psi over the same |beta>."""
     return _factor(b, 1, 0, beta, 0)[:-1]
 
 
-def displaced(b, y):
+def _displaced(b, y):
     """c with sum_m b_m (a† + y)^m = sum_j c_j a†^j: c_j = sum_m C(m, j) b_m y^(m-j).
     At y = conj(beta), D(beta) sum_j c_j a†^j |0> = sum_m b_m a†^m |beta>."""
     return [sum(math.comb(m, j) * b[m] * y ** (m - j) for m in range(j, len(b))) for j in range(len(b))]
@@ -52,10 +52,10 @@ def gram(bl, br, beta, x=1):
     """<phi_l| x^n̂ |phi_r> / <beta| x^n̂ |beta> for phi = sum_m b_m a†^m |beta>, x
     real (x = 1: <phi_l|phi_r>).  The double sum over m', m of conj(bl_m') br_m
     x^m sum_j j! C(m', j) C(m, j) conj(beta)^(m-j) (x beta)^(m'-j) is summed as
-    sum_j j! x^j conj(cl_j) cr_j, c = ``displaced``(b, x conj(beta)), which
+    sum_j j! x^j conj(cl_j) cr_j, c = ``_displaced``(b, x conj(beta)), which
     rounds like a sum of squares at bl = br and x > 0."""
     y = x * beta.conjugate()
-    cl, cr = displaced(bl, y), displaced(br, y)
+    cl, cr = _displaced(bl, y), _displaced(br, y)
     return sum(math.factorial(j) * x**j * cl[j].conjugate() * cr[j] for j in range(min(len(cl), len(cr))))
 
 
@@ -70,7 +70,7 @@ def factorial_moments(mu, nu, n_pow, zeta):
     b = _unit(mu, nu, n_pow, zeta)
     nsq, out = gram(b, b, zeta), []
     for _ in range(4):
-        b = lower(b, zeta)
+        b = _lower(b, zeta)
         out.append((gram(b, b, zeta) / nsq).real)
     return tuple(out)
 
@@ -85,8 +85,8 @@ def anti_normal_moments(mu, nu, n_pow, zeta):
 def squeezing(mu, nu, n_pow, zeta):
     """(I1, I2) of ``nonclassical.squeezing_identities`` from <a>, <a^2>, <a†a>."""
     b = _unit(mu, nu, n_pow, zeta)
-    b1, nsq = lower(b, zeta), gram(b, b, zeta)
-    ea, ea2, en = (gram(bl, br, zeta) / nsq for bl, br in ((b, b1), (b, lower(b1, zeta)), (b1, b1)))
+    b1, nsq = _lower(b, zeta), gram(b, b, zeta)
+    ea, ea2, en = (gram(bl, br, zeta) / nsq for bl, br in ((b, b1), (b, _lower(b1, zeta)), (b1, b1)))
     cross = ea2 + ea2.conjugate() - ea**2 - ea.conjugate() ** 2
     rest = 2 * en - 2 * ea * ea.conjugate()
     return (rest + cross).real, (rest - cross).real
