@@ -5,16 +5,16 @@ oscillator level it labels is n + BASIS_OFFSET (offset 3: the potential's
 levels 1 and 2 are excluded and its detached ground state sits below the
 ladder, bookkeeping that only matters in the position-space layer).
 
-The sweep path works on blocks of rows (the ``*_rows`` kernels).
-``FockVector`` is the one-row reference type of ``coherent_state``,
-``apply_superposed_power``, ``expectation`` and ``density_and_trace``.
+One representation: a vector is a complex row of levels, an operator a
+square complex array.  Sweeps work on blocks of rows (the ``*_rows``
+kernels); ``coherent_state`` and ``apply_superposed_power`` are one-row
+calls of them, and these and the dense references return read-only arrays.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,10 +34,9 @@ _NON_FINITE = "amplitudes must be finite"
 _ZERO_NORM = "cannot normalize the zero vector"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _tail_fractions(weights: np.ndarray, own: list[int] | None = None) -> list[float]:
@@ -62,42 +61,6 @@ def _norms_sq(amps: np.ndarray, own: list[int] | None = None) -> list[float]:
     given), by the row's own vdot."""
     rows = amps if own is None else (row[:dim] for row, dim in zip(amps, own))
     return [float(np.vdot(row, row).real) for row in rows]
-
-
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """A checked, frozen truncated vector: the one-row reference type."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = _freeze(self.amplitudes)
-        if amp.ndim != 1 or amp.size < 4:
-            raise ValueError("a Fock vector needs at least 4 levels")
-        if not np.isfinite(amp).all():
-            raise ValueError(_NON_FINITE)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-
-@dataclass(frozen=True, eq=False)
-class FockOperator:
-    """Dense operator matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _freeze(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _check_dim(dim: int, minimum: int = 2) -> None:
@@ -198,7 +161,7 @@ def normalize_rows(amps: np.ndarray, nsq: list[float], errors: list) -> tuple[np
     return amps / norms, norms
 
 
-def coherent_state(zeta: complex, dim: int) -> tuple[FockVector, float]:
+def coherent_state(zeta: complex, dim: int) -> tuple[np.ndarray, float]:
     """Truncated coherent vector exp(-|z|^2/2) sum_n z^n/sqrt(n!) |n>,
     renormalized, and the tail mass its top 10% of levels carry.
 
@@ -208,7 +171,7 @@ def coherent_state(zeta: complex, dim: int) -> tuple[FockVector, float]:
     amps, tails, (error,) = coherent_rows([zeta], dim)
     if error is not None:
         raise error
-    return FockVector(amps[0]), tails[0]
+    return _read_only(amps[0]), tails[0]
 
 
 def superposed_power_rows(
@@ -268,7 +231,7 @@ def superposed_power_rows(
     return amp, nsq, errors
 
 
-def apply_superposed_power(params: ModulationParams, vec: FockVector, shift: complex = 0) -> FockVector:
+def apply_superposed_power(params: ModulationParams, vec: np.ndarray, shift: complex = 0) -> np.ndarray:
     """(mu a + nu a† + shift)^N applied as N banded updates; unnormalized.
 
     Each update is the truncated mat-vec mu sqrt(n+1) c_{n+1} + nu sqrt(n)
@@ -277,10 +240,10 @@ def apply_superposed_power(params: ModulationParams, vec: FockVector, shift: com
     decile of levels numerically empty.  A one-row call of
     ``superposed_power_rows``.
     """
-    amps, _, (error,) = superposed_power_rows(params, vec.amplitudes[None, :], [shift])
+    amps, _, (error,) = superposed_power_rows(params, vec[None, :], [shift])
     if error is not None:
         raise error
-    return FockVector(amps[0]) if params.N else vec
+    return _read_only(amps[0])
 
 
 @lru_cache(maxsize=8)
@@ -294,7 +257,7 @@ def _unit_displacement_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def displacement(gamma: complex, dim: int) -> FockOperator:
+def displacement(gamma: complex, dim: int) -> np.ndarray:
     """exp(gamma a† - gamma* a) through the eigendecomposition of its
     (phase-rotated) Hermitian generator.  gamma = 0 gives the identity exactly.
 
@@ -304,7 +267,7 @@ def displacement(gamma: complex, dim: int) -> FockOperator:
     _check_dim(dim)
     gamma = complex(gamma)
     if gamma == 0:
-        return FockOperator(np.eye(dim, dtype=complex))
+        return _read_only(np.eye(dim, dtype=complex))
     r = abs(gamma)
     phi = math.atan2(gamma.imag, gamma.real)
     evals, evecs = _unit_displacement_eig(dim)
@@ -314,14 +277,14 @@ def displacement(gamma: complex, dim: int) -> FockOperator:
         core = (phases[:, None] * core) * phases.conj()[None, :]
     if not np.all(np.isfinite(core)):
         raise ConvergenceError(f"displacement exponential failed for gamma={gamma}")
-    return FockOperator(core)
+    return _read_only(core)
 
 
-def expectation(op: FockOperator, vec: FockVector) -> complex:
+def expectation(op: np.ndarray, vec: np.ndarray) -> complex:
     """<v|M|v> for a normalized vector."""
-    if op.dim != vec.dim:
+    if op.shape != (vec.size, vec.size):
         raise ValueError("dimension mismatch")
-    return complex(np.vdot(vec.amplitudes, op.matrix @ vec.amplitudes))
+    return complex(np.vdot(vec, op @ vec))
 
 
 def trace_rows(summands: np.ndarray, context, magnitudes: np.ndarray | None = None) -> tuple[np.ndarray, list]:
@@ -357,15 +320,15 @@ def trace_rows(summands: np.ndarray, context, magnitudes: np.ndarray | None = No
     return totals, errors
 
 
-def density_and_trace(vec: FockVector, op: FockOperator, context: str = "") -> complex:
+def density_and_trace(vec: np.ndarray, op: np.ndarray, context: str = "") -> complex:
     """Tr[|v><v| M] = <v|M|v> as the one-row ``trace_rows`` sum of the
     per-level summand t_n = conj(v_n) (M v)_n, raising its error.
 
     The dense reference that tests hold the quasi-probability oracle against.
     """
-    if op.dim != vec.dim:
+    if op.shape != (vec.size, vec.size):
         raise ValueError("dimension mismatch")
-    totals, (error,) = trace_rows((vec.amplitudes.conj() * (op.matrix @ vec.amplitudes))[None, :], lambda _: context)
+    totals, (error,) = trace_rows((vec.conj() * (op @ vec))[None, :], lambda _: context)
     if error is not None:
         raise error
     return complex(totals[0])

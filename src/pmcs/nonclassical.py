@@ -323,8 +323,10 @@ def quasiprob_paper(
 
 def fidelity_oracle(state: PMCState) -> float:
     """|<zeta | N, zeta>|^2 through the truncated inner product."""
-    ref, _ = fock.coherent_state(state.zeta, state.dim)
-    return abs(complex(np.vdot(ref.amplitudes, state.amplitudes))) ** 2
+    ref, _, (error,) = fock.coherent_rows([state.zeta], state.dim)
+    if error is not None:
+        raise error
+    return abs(complex(np.vdot(ref[0], state.amplitudes))) ** 2
 
 
 def fidelity_paper(params: ModulationParams, zeta: complex, norm_sq: float) -> float:

@@ -125,8 +125,9 @@ class SweepConfig:
             for value in values:
                 if not math.isfinite(value):
                     raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.zeta.r_min < 0:
-            raise ConfigError(f"r_min must be >= 0, got {self.zeta.r_min}")
+        if min(self.zeta.radii()) < 0:  # after the finiteness checks: the radii are finite
+            lo, hi = self.zeta.r_min, self.zeta.r_max
+            raise ConfigError(f"zeta radii must be >= 0, from zeta.r_min={lo}, zeta.r_max={hi}")
         if self.dim_override is not None and not 4 <= self.dim_override <= DIM_CAP:
             raise ConfigError(f"dim_override must be in [4, {DIM_CAP}]")
 

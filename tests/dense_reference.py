@@ -28,24 +28,24 @@ from pmcs.errors import ConvergenceError, DegenerateStateError, outcome
 from pmcs.specfun import laguerre_table, log_factorial_value, log_sum, signed_log_sum
 
 
-def ladder_ops(dim: int) -> tuple[fock.FockOperator, fock.FockOperator]:
+def ladder_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation and creation matrices: <m|a|n> = sqrt(n) delta_{m,n-1}."""
     fock._check_dim(dim)
     a = fock._ladder_matrix(dim)
-    return fock.FockOperator(a), fock.FockOperator(a.conj().T)
+    return a, a.conj().T
 
 
-def number_operator(dim: int) -> fock.FockOperator:
+def number_operator(dim: int) -> np.ndarray:
     fock._check_dim(dim)
-    return fock.FockOperator(np.diag(np.arange(dim, dtype=float)).astype(complex))
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def identity(dim: int) -> fock.FockOperator:
+def identity(dim: int) -> np.ndarray:
     fock._check_dim(dim)
-    return fock.FockOperator(np.eye(dim, dtype=complex))
+    return np.eye(dim, dtype=complex)
 
 
-def operator_exp_number(lam: complex, dim: int) -> fock.FockOperator:
+def operator_exp_number(lam: complex, dim: int) -> np.ndarray:
     """Diagonal operator exp(-lam * n̂) = diag(exp(-lam n))."""
     fock._check_dim(dim)
     lam = complex(lam)
@@ -53,7 +53,7 @@ def operator_exp_number(lam: complex, dim: int) -> fock.FockOperator:
     if top > math.log(np.finfo(float).max):
         raise ValueError(f"exp(-lam n) overflows the double range at n={dim - 1} for lam={lam}")
     diag = np.exp(-lam * np.arange(dim))
-    return fock.FockOperator(np.diag(diag))
+    return np.diag(diag)
 
 
 def _ladder_amplitude(level: int, n_low: int, m_up: int) -> float:
@@ -76,7 +76,7 @@ def _ladder_amplitude(level: int, n_low: int, m_up: int) -> float:
     )
 
 
-def series_to_matrix(series, dim: int) -> fock.FockOperator:
+def series_to_matrix(series, dim: int) -> np.ndarray:
     """Dense matrix of sum c_{m,n} (a†)^m (a)^n on the truncated ladder."""
     max_deg = max((m + n for m, n in series.terms), default=0)
     if 2 * max_deg > dim:
@@ -88,7 +88,7 @@ def series_to_matrix(series, dim: int) -> fock.FockOperator:
             if out >= dim:
                 continue
             mat[out, level] += coeff * _ladder_amplitude(level, n, m)
-    return fock.FockOperator(mat)
+    return mat
 
 
 def laguerre_sum_one_shift(params, r2: float, shift: int) -> float:
@@ -159,20 +159,19 @@ def one_point_state(params, zeta: complex, dim: int | None = None) -> states.PMC
         dim = fock.default_dim(zeta, params.N)
     base, _ = fock.coherent_state(zeta, dim)
     raw = fock.apply_superposed_power(params, base)
-    nsq_oracle = float(np.vdot(raw.amplitudes, raw.amplitudes).real)
+    nsq_oracle = float(np.vdot(raw, raw).real)
     if not nsq_oracle >= sys.float_info.min:
         raise DegenerateStateError(
             f"(mu a + nu a†)^{params.N} |zeta={zeta}> has squared norm {nsq_oracle:.3g}: "
             "the operator annihilates the input, or the norm underflows the double range"
         )
     nsq_paper = states.paper_norm_sq(params, zeta)
-    amps, _ = fock.normalize_rows(raw.amplitudes[None, :], [nsq_oracle], [None])
-    vec = fock.FockVector(amps[0])
+    amps, _ = fock.normalize_rows(raw[None, :], [nsq_oracle], [None])
     return states.PMCState(
-        params=params, zeta=zeta, amplitudes=vec.amplitudes,
+        params=params, zeta=zeta, amplitudes=amps[0],
         norm_sq_paper=nsq_paper, norm_sq_oracle=nsq_oracle,
         discrepancy=abs(nsq_paper - nsq_oracle) / nsq_oracle,
-        tail_mass=fock._tail_fraction(np.abs(vec.amplitudes) ** 2),
+        tail_mass=fock._tail_fraction(np.abs(amps[0]) ** 2),
     )
 
 

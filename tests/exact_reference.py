@@ -4,7 +4,8 @@ Weyl ordering and a^n |beta> = beta^n |beta> make the state a finite sum
 psi = sum_m b_m a†^m |beta>, b_m built factor by factor without ``pmcs``, and
 every quantity a Gram form over the b_m: no Fock dimension, no tail test.
 ``Fraction`` inputs give exact values (but for the exponential in
-``quasiprob``), ``complex`` inputs doubles."""
+``quasiprob``), ``complex`` inputs doubles.  The Laguerre polynomial and A3
+of the closed forms are here in exact rationals too."""
 
 import math
 from fractions import Fraction
@@ -108,3 +109,30 @@ def quasiprob(mu, nu, n_pow, zeta, gamma, s):
     w = (1 + s) / (s - 1)
     ratio = (gram(b, b, beta, w) / gram(b, b, beta)).real
     return float(2 / (1 - s) * ratio) * math.exp((w - 1) * (beta * beta.conjugate()).real)
+
+
+def laguerre(n, x):
+    """L_n(x) = sum_i C(n, i) (-x)^i / i! in exact rationals, at the exact
+    binary value of a float x."""
+    x = Fraction(x)
+    return sum((Fraction(math.comb(n, i)) * (-x) ** i / math.factorial(i) for i in range(n + 1)), Fraction(0))
+
+
+# Stirling numbers of the second kind S(j, i), j <= 4: n^j = sum_i S(j, i) n!/(n-i)!.
+STIRLING2 = {1: (1,), 2: (1, 1), 3: (1, 3, 1), 4: (1, 7, 6, 1)}
+
+
+def number_moments(m):
+    """mu_j = <n^j> = sum_i S(j, i) m_i, j = 1..4, from the factorial moments m_1..m_4."""
+    return [sum(s * m[i] for i, s in enumerate(STIRLING2[j])) for j in (1, 2, 3, 4)]
+
+
+def hankel_det(x1, x2, x3, x4):
+    """det [[1, x1, x2], [x1, x2, x3], [x2, x3, x4]], exact on Fractions."""
+    return x2 * x4 - x3 * x3 - x1 * (x1 * x4 - x3 * x2) + x2 * (x1 * x3 - x2 * x2)
+
+
+def a3(m):
+    """A3 = det m / (det mu - det m) of factorial moments m_1..m_4, exact on Fractions."""
+    det_m, det_mu = hankel_det(*m), hankel_det(*number_moments(m))
+    return det_m / (det_mu - det_m)

@@ -40,8 +40,8 @@ def test_criterion_01_weyl_expansion_exactness():
         for mu in mus:
             for nu in nus:
                 series = weyl.expand_superposed_power(ModulationParams(mu, nu, n_pow))
-                rebuilt = dense_reference.series_to_matrix(series, dim).matrix[:half, :half]
-                ref = np.linalg.matrix_power(mu * a_op.matrix + nu * ad_op.matrix, n_pow)[:half, :half]
+                rebuilt = dense_reference.series_to_matrix(series, dim)[:half, :half]
+                ref = np.linalg.matrix_power(mu * a_op + nu * ad_op, n_pow)[:half, :half]
                 # entries reach ~1e8 at N = 8, where double precision caps the
                 # absolute agreement near 1e-8; 1e-10 is enforced per entry
                 # relative to its magnitude (and absolutely for O(1) entries)
@@ -58,7 +58,7 @@ def test_criterion_02_ordering_identities():
     dim = 48
     exact = True
     for j in range(1, 9):
-        diag = np.diag(dense_reference.series_to_matrix(weyl.expand_number_power(j), dim).matrix).real
+        diag = np.diag(dense_reference.series_to_matrix(weyl.expand_number_power(j), dim)).real
         exact = exact and np.array_equal(diag[:21], np.arange(21, dtype=float) ** j)
     report(2, exact, f"(a†a)^j integer-exact for j<=8, n<=20: {exact}")
     assert exact

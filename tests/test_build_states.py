@@ -1,7 +1,9 @@
 """A sweep line's states from one padded row-kernel pass per block must be,
 bit for bit, the states its points get one at a time."""
 
+import collections
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -162,15 +164,23 @@ def test_a_state_is_a_read_only_view_of_its_block_row():
 
 @pytest.mark.parametrize("preset,count", [("fig1", 0), ("fig2", 0), ("fig3a", 0), ("fig3b", 0), ("fig4", 60)])
 def test_sweeps_construct_fock_vectors_only_for_the_fidelity_reference(monkeypatch, preset, count):
-    # a built state is its block row: the only FockVector left on the sweep
-    # path is fidelity_oracle's coherent reference, one per state point
-    constructed = []
-    original = fock.FockVector.__post_init__
+    # a built state is its block row: outside the block passes of
+    # build_states and the quasi-probability grid, the only vector the sweep
+    # path builds is fidelity_oracle's coherent reference, one row per state
+    # point, and no one-row wrapper of fock is called
+    callers = collections.Counter()
 
-    def counting(self):
-        constructed.append(self)
-        original(self)
+    def counting(name):
+        original = getattr(fock, name)
 
-    monkeypatch.setattr(fock.FockVector, "__post_init__", counting)
+        def wrapper(*args, **kwargs):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fock, name, wrapper)
+
+    for name in ("coherent_rows", "superposed_power_rows", "coherent_state", "apply_superposed_power"):
+        counting(name)
     sweeps.run_sweep(sweeps.preset_config(preset))
-    assert len(constructed) == count
+    outside = {caller: n for caller, n in callers.items() if caller not in ("_build_block", "_quasiprob_block")}
+    assert outside == ({"fidelity_oracle": count} if count else {})

@@ -17,14 +17,14 @@ small_complex = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_inf
 class TestLadders:
     def test_annihilation_entry(self):
         a, _ = dense_reference.ladder_ops(8)
-        assert a.matrix[0, 1] == 1.0
+        assert a[0, 1] == 1.0
 
     def test_commutator_structure(self):
         # [a, a†] = I everywhere except the truncation corner, which is 1 - D.
         # sqrt(n)*sqrt(n) is not exactly n in floats, hence machine tolerance.
         for dim in (12, 64):
             a, ad = dense_reference.ladder_ops(dim)
-            comm = a.matrix @ ad.matrix - ad.matrix @ a.matrix - np.eye(dim)
+            comm = a @ ad - ad @ a - np.eye(dim)
             corner = comm[dim - 1, dim - 1].real
             assert corner == pytest.approx(-dim, rel=4e-15)
             comm = comm.copy()
@@ -37,9 +37,9 @@ class TestLadders:
     def test_number_operator_exact(self):
         dim = 40
         nop = dense_reference.number_operator(dim)
-        assert np.array_equal(nop.matrix, np.diag(np.arange(dim)).astype(complex))
+        assert np.array_equal(nop, np.diag(np.arange(dim)).astype(complex))
         a, ad = dense_reference.ladder_ops(dim)
-        assert np.max(np.abs(ad.matrix @ a.matrix - nop.matrix)) < 4e-14 * dim
+        assert np.max(np.abs(ad @ a - nop)) < 4e-14 * dim
 
     def test_dim_cap(self):
         with pytest.raises(ValueError, match="exceeds the level cap"):
@@ -51,7 +51,7 @@ class TestCoherentState:
         vec, tail = fock.coherent_state(0.0, 8)
         expected = np.zeros(8, complex)
         expected[0] = 1.0
-        assert np.array_equal(vec.amplitudes, expected)
+        assert np.array_equal(vec, expected)
         assert tail == 0.0
 
     def test_mean_photon_number(self):
@@ -61,7 +61,7 @@ class TestCoherentState:
 
     def test_normalized(self):
         vec, _ = fock.coherent_state(2j, 60)
-        assert float(np.vdot(vec.amplitudes, vec.amplitudes).real) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.vdot(vec, vec).real) == pytest.approx(1.0, abs=1e-12)
 
     def test_unconverged_truncation_raises(self):
         with pytest.raises(ConvergenceError):
@@ -77,7 +77,7 @@ class TestCoherentState:
     def test_overlap_formula(self, z1, z2):
         v1, _ = fock.coherent_state(z1, 60)
         v2, _ = fock.coherent_state(z2, 60)
-        got = complex(np.vdot(v1.amplitudes, v2.amplitudes))
+        got = complex(np.vdot(v1, v2))
         ref = np.exp(-(abs(z1) ** 2 + abs(z2) ** 2) / 2 + np.conj(z1) * z2)
         assert got == pytest.approx(ref, abs=1e-10)
 
@@ -100,7 +100,7 @@ class TestCoherentState:
             amp = np.exp(np.maximum(log_mag, -745.0)) * np.exp(1j * cmath.phase(zeta) * n)
             amp[log_mag < -745.0] = 0.0
             ref = amp / math.sqrt(np.vdot(amp, amp).real)
-            assert np.array_equal(vec.amplitudes, ref)
+            assert np.array_equal(vec, ref)
             assert errors[1] is None and tails[1] == tail
             assert np.array_equal(amps[1], ref)
             assert np.array_equal(amps[0], np.eye(dim)[0]) and isinstance(errors[2], ConvergenceError)
@@ -110,7 +110,7 @@ class TestCoherentState:
     def test_underflowing_phase_is_zero(self):
         # atan2(5e-324, 2) underflows; cmath.phase raised OverflowError on it
         vec, _ = fock.coherent_state(2.0 + 5e-324j, 40)
-        assert np.array_equal(vec.amplitudes, fock.coherent_state(2.0, 40)[0].amplitudes)
+        assert np.array_equal(vec, fock.coherent_state(2.0, 40)[0])
 
     def test_eigenvalue_property(self):
         vec, _ = fock.coherent_state(0.7 - 0.4j, 40)
@@ -123,36 +123,36 @@ class TestSuperposedPower:
         vec, _ = fock.coherent_state(0.9 - 0.3j, 48)
         params = ModulationParams(0.4 + 0.1j, 1.2, 5)
         plain = fock.apply_superposed_power(params, vec)
-        assert np.array_equal(fock.apply_superposed_power(params, vec, 0j).amplitudes, plain.amplitudes)
+        assert np.array_equal(fock.apply_superposed_power(params, vec, 0j), plain)
 
     @given(small_complex, st.integers(1, 6))
     def test_shift_adds_identity_term(self, shift, n_pow):
         vec, _ = fock.coherent_state(0.8 + 0.2j, 64)
         params = ModulationParams(0.3, 0.7 - 0.2j, n_pow)
-        a, ad = (op.matrix for op in dense_reference.ladder_ops(64))
-        ref = vec.amplitudes
+        a, ad = dense_reference.ladder_ops(64)
+        ref = vec
         for _ in range(n_pow):
             ref = (params.mu * a + params.nu * ad + shift * np.eye(64)) @ ref
-        got = fock.apply_superposed_power(params, vec, shift).amplitudes
+        got = fock.apply_superposed_power(params, vec, shift)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(ref))))
 
     def test_identity_power(self):
         vec, _ = fock.coherent_state(0.5, 32)
         out = fock.apply_superposed_power(ModulationParams(1, 1, 0), vec)
-        assert out is vec
+        assert np.shares_memory(out, vec) and np.array_equal(out, vec)
 
     def test_single_creation_on_vacuum(self):
         vec, _ = fock.coherent_state(0.0, 16)
         out = fock.apply_superposed_power(ModulationParams(0, 1, 1), vec)
         expected = np.zeros(16, complex)
         expected[1] = 1.0
-        assert np.allclose(out.amplitudes, expected, atol=1e-15)
+        assert np.allclose(out, expected, atol=1e-15)
 
     def test_annihilation_eigenvalue(self):
         zeta = 1.2 + 0.3j
         vec, _ = fock.coherent_state(zeta, 50)
         out = fock.apply_superposed_power(ModulationParams(1, 0, 1), vec)
-        assert np.allclose(out.amplitudes, zeta * vec.amplitudes, atol=1e-12)
+        assert np.allclose(out, zeta * vec, atol=1e-12)
 
     @given(
         st.integers(min_value=0, max_value=3),
@@ -165,8 +165,8 @@ class TestSuperposedPower:
         combined = fock.apply_superposed_power(p_ab, vec)
         step_a = fock.apply_superposed_power(ModulationParams(mu, 1.0, na), vec)
         step_b = fock.apply_superposed_power(ModulationParams(mu, 1.0, nb), step_a)
-        scale = max(1.0, float(np.max(np.abs(combined.amplitudes))))
-        assert np.allclose(combined.amplitudes, step_b.amplitudes, atol=1e-12 * scale)
+        scale = max(1.0, float(np.max(np.abs(combined))))
+        assert np.allclose(combined, step_b, atol=1e-12 * scale)
 
     def test_headroom_guard(self):
         vec, _ = fock.coherent_state(0.0, 16)
@@ -179,7 +179,7 @@ class TestSuperposedPower:
         # their own: mass pushed into the top decile, amplitudes overflowing
         # (a ConvergenceError, not a ValueError: the rows come in finite)
         dim = 40
-        rows = [fock.coherent_state(z, dim)[0].amplitudes for z in (0.4, 1.1 - 0.6j, -0.9j, 0.0)]
+        rows = [fock.coherent_state(z, dim)[0] for z in (0.4, 1.1 - 0.6j, -0.9j, 0.0)]
         rows.append(np.eye(dim)[dim - 5].astype(complex))
         rows.append(np.full(dim, 1e307, dtype=complex))
         shifts = [0.3 - 0.2j, 0.0, 1.7j, -0.0, 0.5, 2.0]
@@ -187,12 +187,12 @@ class TestSuperposedPower:
         amps, nsq, errors = fock.superposed_power_rows(params, np.array(rows), shifts)
         for row, shift, got, got_nsq, error in zip(rows, shifts, amps, nsq, errors):
             try:
-                vec = fock.apply_superposed_power(params, fock.FockVector(row), shift)
+                vec = fock.apply_superposed_power(params, row, shift)
             except (ConvergenceError, ValueError) as exc:
                 assert (type(error), str(error)) == (type(exc), str(exc))
                 continue
             assert error is None
-            assert np.array_equal(got, vec.amplitudes) and got_nsq == float(np.vdot(vec.amplitudes, vec.amplitudes).real)
+            assert np.array_equal(got, vec) and got_nsq == float(np.vdot(vec, vec).real)
         failed = [type(e) for e in errors if e is not None]
         assert failed == ([] if n_pow == 0 else [ConvergenceError, ConvergenceError])
 
@@ -214,18 +214,18 @@ class TestSuperposedPower:
                 assert (type(error), str(error)) == (type(exc), str(exc))
                 continue
             assert error is None and tail == vec_tail
-            assert row[:dim].tobytes() == vec.amplitudes.tobytes() and not row[dim:].any()
+            assert row[:dim].tobytes() == vec.tobytes() and not row[dim:].any()
         assert [type(e) for e in coherent_errors] == [type(None)] * 4 + [ConvergenceError]
         for shifts in ([0] * 5, [0.3 - 0.2j, 0, 1.7j, -0.0, 0.5]):
             amps, nsq, errors = fock.superposed_power_rows(params, coherent, shifts, dims)
             for start, dim, shift, got, got_nsq, error in zip(coherent, dims, shifts, amps, nsq, errors):
                 try:
-                    vec = fock.apply_superposed_power(params, fock.FockVector(start[:dim]), shift)
+                    vec = fock.apply_superposed_power(params, start[:dim], shift)
                 except (ConvergenceError, ValueError) as exc:
                     assert (type(error), str(error)) == (type(exc), str(exc))
                     continue
-                assert error is None and got_nsq == float(np.vdot(vec.amplitudes, vec.amplitudes).real)
-                assert got[:dim].tobytes() == vec.amplitudes.tobytes() and not got[dim:].any()
+                assert error is None and got_nsq == float(np.vdot(vec, vec).real)
+                assert got[:dim].tobytes() == vec.tobytes() and not got[dim:].any()
             headroom = [str(e) for e in errors if isinstance(e, ValueError)]
             assert headroom == [f"power N={n_pow} needs dim >= {4 * n_pow}, got {d}" for d in dims if n_pow > d // 4]
 
@@ -233,7 +233,7 @@ class TestSuperposedPower:
 class TestDisplacement:
     def test_zero_is_exact_identity(self):
         disp = fock.displacement(0.0, 12)
-        assert np.array_equal(disp.matrix, np.eye(12, dtype=complex))
+        assert np.array_equal(disp, np.eye(12, dtype=complex))
 
     @pytest.mark.parametrize("gamma", [0.5, -1.3 + 0.8j, 2.0j, 1.9 - 0.4j])
     def test_displaced_vacuum_is_coherent(self, gamma):
@@ -241,21 +241,21 @@ class TestDisplacement:
         disp = fock.displacement(gamma, dim)
         vac = np.zeros(dim, complex)
         vac[0] = 1.0
-        got = disp.matrix @ vac
+        got = disp @ vac
         ref, _ = fock.coherent_state(gamma, dim)
-        assert np.max(np.abs(got - ref.amplitudes)) < 1e-9
+        assert np.max(np.abs(got - ref)) < 1e-9
 
     def test_group_inverse(self):
         dim = 60
         gamma = 1.1 + 0.6j
-        prod = fock.displacement(gamma, dim).matrix @ fock.displacement(-gamma, dim).matrix
+        prod = fock.displacement(gamma, dim) @ fock.displacement(-gamma, dim)
         half = dim // 2
         assert np.max(np.abs((prod - np.eye(dim))[:half, :half])) < 1e-9
 
     def test_unitarity_lower_block(self):
         dim = 60
         disp = fock.displacement(1.5 - 0.9j, dim)
-        gram = disp.matrix.conj().T @ disp.matrix
+        gram = disp.conj().T @ disp
         half = dim // 2
         assert np.max(np.abs((gram - np.eye(dim))[:half, :half])) < 1e-9
 
@@ -263,16 +263,16 @@ class TestDisplacement:
 class TestExpNumber:
     def test_identity(self):
         op = dense_reference.operator_exp_number(0.0, 10)
-        assert np.array_equal(op.matrix, np.eye(10, dtype=complex))
+        assert np.array_equal(op, np.eye(10, dtype=complex))
 
     def test_halving_weights(self):
         op = dense_reference.operator_exp_number(math.log(2.0), 12)
-        assert np.allclose(np.diag(op.matrix), 0.5 ** np.arange(12), rtol=1e-14)
+        assert np.allclose(np.diag(op), 0.5 ** np.arange(12), rtol=1e-14)
 
     def test_growth_weights_for_s_above_one(self):
         # s = 1.2 gives the ratio (s+1)/(s-1) = 11, i.e. lam = -ln 11.
         op = dense_reference.operator_exp_number(-math.log(11.0), 8)
-        assert np.allclose(np.diag(op.matrix), 11.0 ** np.arange(8), rtol=1e-12)
+        assert np.allclose(np.diag(op), 11.0 ** np.arange(8), rtol=1e-12)
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
@@ -291,19 +291,19 @@ class TestTrace:
 
     def test_vacuum_parity(self):
         vec, _ = fock.coherent_state(0.0, 16)
-        parity = fock.FockOperator(np.diag((-1.0) ** np.arange(16)).astype(complex))
+        parity = np.diag((-1.0) ** np.arange(16)).astype(complex)
         assert fock.density_and_trace(vec, parity) == pytest.approx(1.0)
 
     def test_nondecaying_summand_raises(self):
         vec, _ = fock.coherent_state(1.5, 28)
-        growth = fock.FockOperator(np.diag(11.0 ** np.arange(28)).astype(complex))
+        growth = np.diag(11.0 ** np.arange(28)).astype(complex)
         with pytest.raises(ConvergenceError, match="s=1.2-like"):
             fock.density_and_trace(vec, growth, context="s=1.2-like")
 
     def test_density_and_trace_raises_the_trace_rows_error(self):
         vec, _ = fock.coherent_state(1.5, 28)
-        growth = fock.FockOperator(np.diag(11.0 ** np.arange(28)).astype(complex))
-        summand = vec.amplitudes.conj() * (growth.matrix @ vec.amplitudes)
+        growth = np.diag(11.0 ** np.arange(28)).astype(complex)
+        summand = vec.conj() * (growth @ vec)
         _, (want,) = fock.trace_rows(summand[None, :], lambda _: "ctx")
         with pytest.raises(ConvergenceError) as info:
             fock.density_and_trace(vec, growth, context="ctx")
@@ -345,13 +345,25 @@ class TestTrace:
 
 
 class TestVectors:
-    def test_minimum_dimension(self):
-        with pytest.raises(ValueError):
-            fock.FockVector(np.array([1.0, 0.0], dtype=complex))
+    def test_rows_and_matrices_handed_out_are_read_only(self):
+        vec, _ = fock.coherent_state(0.5, 16)
+        power = fock.apply_superposed_power(ModulationParams(1, 1, 2), vec)
+        for arr in (vec, power, fock.apply_superposed_power(ModulationParams(1, 1, 0), vec),
+                    fock.displacement(0.0, 8), fock.displacement(0.3, 8)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_dense_operator_must_match_the_vector(self):
+        vec, _ = fock.coherent_state(0.5, 16)
+        for op in (np.eye(12), np.eye(16)[:, :12]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                fock.expectation(op, vec)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                fock.density_and_trace(vec, op)
 
     def test_normalize_invariant(self):
-        vec = fock.FockVector(np.array([3.0, 4.0, 0.0, 0.0], dtype=complex))
-        amps, norms = fock.normalize_rows(vec.amplitudes[None, :], [float(np.vdot(vec.amplitudes, vec.amplitudes).real)], [None])
+        vec = np.array([3.0, 4.0, 0.0, 0.0], dtype=complex)
+        amps, norms = fock.normalize_rows(vec[None, :], [float(np.vdot(vec, vec).real)], [None])
         assert float(np.vdot(amps[0], amps[0]).real) == pytest.approx(1.0, abs=1e-12) and norms[0, 0] == 5.0
 
     def test_default_dim_rule(self):
@@ -367,7 +379,7 @@ class TestVectors:
         amps, _, errors = fock.coherent_rows([z, 1.0], 32)
         assert isinstance(errors[0], ConvergenceError) and errors[1] is None
         assert not amps[0].any()
-        assert np.array_equal(amps[1], fock.coherent_state(1.0, 32)[0].amplitudes)
+        assert np.array_equal(amps[1], fock.coherent_state(1.0, 32)[0])
 
 
 class TestTailFractions:

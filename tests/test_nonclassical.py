@@ -56,7 +56,7 @@ class TestMomentsPaper:
         # form's sums is the Hankel determinant of those number moments
         params = ModulationParams(1 / 3, 2 / 3, 2)
         m = nc.moments_paper(params, 1.2, states.paper_norm_sq(params, 1.2))
-        mu = [sum(w * m[i] for i, w in enumerate(STIRLING2[j])) for j in (1, 2, 3, 4)]
+        mu = exact_reference.number_moments(m)
         assert mu[0] == m[0]
         hankel = np.array([([1.0] + mu)[i:i + 3] for i in range(3)])
         assert nc.a3(m).det_mu == pytest.approx(float(np.linalg.det(hankel)), rel=1e-12)
@@ -116,12 +116,7 @@ class TestMomentsPaper:
             result = nc.a3(got)
         except UndefinedRatioError as err:
             result = err
-        assert (result.det_m, result.det_mu) == (hankel_det(*got), hankel_det(*mu))
-
-
-def exact_laguerre(n, x):
-    """L_n(x) = sum_i C(n, i) (-x)^i / i! in exact rationals."""
-    return sum(Fraction(math.comb(n, i)) * (-x) ** i / math.factorial(i) for i in range(n + 1))
+        assert (result.det_m, result.det_mu) == tuple(exact_reference.hankel_det(*v) for v in (got, mu))
 
 
 def exact_m_like(mu2, nu2, n_pow, r2, shift):
@@ -133,19 +128,10 @@ def exact_m_like(mu2, nu2, n_pow, r2, shift):
             order = n_pow - k - l + shift
             total += (
                 mu2**k * nu2 ** (n_pow - k) * Fraction(1, 4) ** l * r2 ** (k - l)
-                * math.factorial(order) * exact_laguerre(order, -r2)
+                * math.factorial(order) * exact_reference.laguerre(order, -r2)
                 / (math.factorial(l) * math.factorial(k - l) * math.factorial(n_pow - k - l)) ** 2
             )
     return math.factorial(n_pow) ** 2 * total
-
-
-# Stirling numbers of the second kind S(j, i), j <= 4: n^j = sum_i S(j, i) n!/(n-i)!.
-STIRLING2 = {1: (1,), 2: (1, 1), 3: (1, 3, 1), 4: (1, 7, 6, 1)}
-
-
-def hankel_det(x1, x2, x3, x4):
-    """det [[1, x1, x2], [x1, x2, x3], [x2, x3, x4]], exact on Fractions."""
-    return x2 * x4 - x3 * x3 - x1 * (x1 * x4 - x3 * x2) + x2 * (x1 * x3 - x2 * x2)
 
 
 class TestExactGolden:
@@ -158,8 +144,8 @@ class TestExactGolden:
         mu2, nu2 = Fraction(1, 9), Fraction(4, 9)
         nsq = exact_m_like(mu2, nu2, n_pow, zeta**2, 0)
         m = [exact_m_like(mu2, nu2, n_pow, zeta**2, j) / nsq for j in (1, 2, 3, 4)]
-        mu = [sum(s * m[i] for i, s in enumerate(STIRLING2[j])) for j in (1, 2, 3, 4)]
-        det_m, det_mu = hankel_det(*m), hankel_det(*mu)
+        det_m = exact_reference.hankel_det(*m)
+        det_mu = exact_reference.hankel_det(*exact_reference.number_moments(m))
 
         params = ModulationParams(1 / 3, 2 / 3, n_pow)
         norm_sq = states.paper_norm_sq(params, float(zeta))
@@ -170,13 +156,6 @@ class TestExactGolden:
         assert result.det_m == pytest.approx(float(det_m), rel=1e-13)
         assert result.det_mu == pytest.approx(float(det_mu), rel=1e-13)
         assert result.a3 == pytest.approx(float(det_m / (det_mu - det_m)), rel=1e-13)
-
-
-def exact_a3(m):
-    """A3 of factorial moments m_1..m_4, exact on Fractions."""
-    mu = [sum(s * m[i] for i, s in enumerate(STIRLING2[j])) for j in (1, 2, 3, 4)]
-    det_m, det_mu = hankel_det(*m), hankel_det(*mu)
-    return det_m / (det_mu - det_m)
 
 
 class TestPaperA3Witness:
@@ -191,13 +170,13 @@ class TestPaperA3Witness:
         assert exact_reference.factorial_moments(0, 1, 2, 1) == self.M
         m = nc.moments_oracle(states.build_state(self.PARAMS, 1.0))
         assert m == pytest.approx([float(v) for v in self.M], rel=1e-12)
-        assert exact_a3(self.M) == Fraction(-3104, 4095)
+        assert exact_reference.a3(self.M) == Fraction(-3104, 4095)
         assert nc.a3(m).a3 == pytest.approx(-3104 / 4095, rel=1e-12)
 
     def test_paper_column_is_the_a3_of_the_anti_normal_sums(self):
         anti = exact_reference.anti_normal_moments(0, 1, 2, 1)
         assert anti == (Fraction(34, 7), Fraction(209, 7), Fraction(1546, 7), Fraction(13327, 7))
-        assert exact_a3(anti) == Fraction(101500, 477559)
+        assert exact_reference.a3(anti) == Fraction(101500, 477559)
         paper = nc.moments_paper(self.PARAMS, 1.0, states.paper_norm_sq(self.PARAMS, 1.0))
         assert paper == pytest.approx([float(v) for v in anti], rel=1e-12)
         assert nc.a3(paper).a3 == pytest.approx(101500 / 477559, rel=1e-12)
@@ -288,7 +267,7 @@ class TestSqueezing:
         state = states.build_state(params, zeta)
         i1, i2 = nc.squeezing_identities(state)
         amp = state.amplitudes
-        a, ad = (op.matrix for op in dense_reference.ladder_ops(amp.size))
+        a, ad = dense_reference.ladder_ops(amp.size)
         top = amp.size * abs(amp[-1]) ** 2 / 2.0
         for q, ident in (((a + ad) / math.sqrt(2.0), i1), (1j * (ad - a) / math.sqrt(2.0), i2)):
             mean, mean_sq = (complex(np.vdot(amp, op @ amp)) for op in (q, q @ q))

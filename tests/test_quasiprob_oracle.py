@@ -157,9 +157,8 @@ class TestAgainstDense:
         params = ModulationParams(mu, nu, n_pow)
         got = oracle_or_skip(params, zeta, gamma, s, dim)
         state = states.build_state(params, zeta, dim)
-        disp = fock.displacement(gamma, dim).matrix
-        displaced = fock.FockVector(disp.conj().T @ state.amplitudes)
-        weight = fock.FockOperator(np.diag(((1.0 + s) / (s - 1.0)) ** np.arange(dim)))
+        displaced = fock.displacement(gamma, dim).conj().T @ state.amplitudes
+        weight = np.diag(((1.0 + s) / (s - 1.0)) ** np.arange(dim))
         try:
             trace = fock.density_and_trace(displaced, weight)
         except ConvergenceError:

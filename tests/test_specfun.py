@@ -1,21 +1,11 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import exact_reference
 from pmcs import specfun
-
-
-def laguerre_series_exact(n, x):
-    """Independent oracle: L_n(x) = sum_k C(n,k) (-x)^k / k!, summed in exact
-    rational arithmetic at the exact binary value of x."""
-    xf = Fraction(x)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += Fraction(math.comb(n, k)) * (-xf) ** k / math.factorial(k)
-    return float(total)
 
 
 class TestLaguerre:
@@ -38,7 +28,7 @@ class TestLaguerre:
     @given(st.integers(min_value=0, max_value=30), st.floats(min_value=-10, max_value=10))
     def test_matches_series_summation(self, n, x):
         value = specfun.laguerre_eval(n, x)
-        ref = laguerre_series_exact(n, x)
+        ref = float(exact_reference.laguerre(n, x))
         # relative 1e-10 away from zeros; near zeros the attainable absolute
         # accuracy is set by the largest intermediate of the recurrence
         largest = max(abs(v) for v in specfun.laguerre_table(n, x))

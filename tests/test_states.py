@@ -65,7 +65,7 @@ class TestBuildState:
         zeta = 0.8 - 0.2j
         state = states.build_state(ModulationParams(0.3, 0.7, 0), zeta)
         ref, _ = fock.coherent_state(zeta, state.dim)
-        assert np.allclose(state.amplitudes, ref.amplitudes, atol=1e-12)
+        assert np.allclose(state.amplitudes, ref, atol=1e-12)
         assert state.norm_sq_paper == 1.0
         assert state.norm_sq_oracle == pytest.approx(1.0, abs=1e-12)
         assert state.discrepancy <= 1e-12
@@ -106,7 +106,7 @@ class TestBuildState:
         state = states.build_state(ModulationParams(0, 1, n_pow), zeta)
         base, _ = fock.coherent_state(zeta, state.dim)
         _, ad = dense_reference.ladder_ops(state.dim)
-        raw = np.linalg.matrix_power(ad.matrix, n_pow) @ base.amplitudes
+        raw = np.linalg.matrix_power(ad, n_pow) @ base
         raw /= np.linalg.norm(raw)
         assert np.allclose(state.amplitudes, raw, atol=1e-12)
 

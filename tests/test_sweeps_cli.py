@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import dense_reference
 from pmcs import cli, nonclassical, states, sweeps, weyl
@@ -129,6 +129,23 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert cli.main([*command, "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {grid} radii must be finite, got nan\n"
+
+    @pytest.mark.parametrize(
+        "zeta,bounds",
+        [
+            ({"r_min": -0.5, "r_max": 2.0, "r_steps": 3}, "zeta.r_min=-0.5, zeta.r_max=2.0"),
+            ({"r_min": 0.5, "r_max": -1.0, "r_steps": 3}, "zeta.r_min=0.5, zeta.r_max=-1.0"),
+        ],
+        ids=["r_min", "r_max"],
+    )
+    def test_negative_radius_exits_2_naming_the_field(self, tmp_path, capsys, zeta, bounds):
+        # a descending grid through 0 would write rows with r < 0 at theta = 0
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"zeta": zeta}))
+        out = tmp_path / "negative.csv"
+        assert cli.main(["fidelity", "sweep", "--preset", "fig4", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: zeta radii must be >= 0, from {bounds}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "update,grid",
@@ -530,6 +547,42 @@ class TestRender:
         rows = sweeps.run_sweep(cfg)
         for fmt in sweeps.FORMATS:
             assert sweeps.render(rows, cfg.family, fmt) == dense_reference.reference_render(rows, cfg.family, fmt)
+
+
+# 1.34e154 squares past the double range; 1.2e308 is near the largest double
+boundary_radius = st.sampled_from([0.0, 1e-300, 1.0, 12.0, 1.34e154, 1.2e308]) | st.floats(0.0, 1.2e308)
+angle = st.floats(-7.0, 7.0)
+
+
+class TestBoundaries:
+    """Every family at the numeric edges: s at and around the poles, N at
+    the power cap, the dimension at its floor and cap, |zeta| and |gamma|
+    from zero through the overflow thresholds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sweeps.FAMILIES),
+        st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]) | st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0, 1, 32]),
+        st.sampled_from([None, 4, 256]),
+        boundary_radius, angle, boundary_radius, angle,
+    )
+    def test_every_row_carries_finite_values_or_an_error(self, family, s, n_pow, dim, r, theta, g, phi):
+        cfg = SweepConfig(
+            family=family, mu=(1 / 3,), nu=(2 / 3 - 0.1j,), n_values=(n_pow,), dim_override=dim,
+            zeta=ZetaGrid(r, r, 1, (theta,)), quasi=QuasiSpec(s, GammaGrid(g, g, 1, (phi,))),
+        )
+        rows = sweeps.run_sweep(cfg)
+        assert rows
+        for row in rows:
+            values = [row.paper_value, row.oracle_value, row.rel_gap, row.tail_mass, row.r, row.theta, row.s]
+            values += [] if row.gamma is None else [row.gamma.real, row.gamma.imag]
+            assert all(math.isfinite(v) for v in values if v is not None), row
+            sides = (row.oracle_value,) if family == "squeeze" and row.quantity != "norm_sq" else (
+                row.paper_value, row.oracle_value)
+            assert row.error or None not in sides, row
+        for fmt in sweeps.FORMATS:
+            sweeps.render(rows, family, fmt)
 
 
 class TestPresetCoverage:
